@@ -1,8 +1,8 @@
 """Command-line interface: fit, region export, simulation grid, oracle validation.
 
-Exit codes: 0 success; 1 validation tolerance failure; 2 malformed input or
-invalid flags; 3 too few studies to fit (n < 3); 4 corrected region undefined
-(threshold factor 1 + h not positive).
+Exit codes: 0 success; 1 validation tolerance failure; 2 malformed input,
+invalid flags or an unwritable output path; 3 too few studies to fit (n < 3);
+4 corrected region undefined (threshold factor 1 + h not positive).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 import warnings
 from typing import Sequence
 from xml.sax.saxutils import escape
@@ -30,14 +29,16 @@ from .model import (
     Sym2,
 )
 from .oracle import OracleConfig, mc_b_moments, rep_stream
-from .regions import b_star, confidence_region, region_boundary
-from .simlab import Scenario, gen_within_variances, grid_to_csv, run_grid
+from .regions import b_star, chi2_quantile, confidence_region, region_boundary
+from .simlab import Scenario, _write_atomic, gen_within_variances, grid_to_csv, run_grid
 from .transforms import sroc_curve, summarize_counts, to_roc_space
 
 __all__ = ["main", "read_table", "validation_preset"]
 
 COUNT_HEADER = ["id", "tp", "fn", "fp", "tn"]
 SUMMARY_HEADER = ["id", "y_sens", "y_spec", "var_sens", "var_spec"]
+# the summary header the README and PAPER.md document; same columns, same order
+_LOGIT_HEADER = ["id", "logit_sens", "logit_spec", "var_sens", "var_spec"]
 
 SROC_GRID = np.linspace(0.005, 0.995, 199)
 BOUNDARY_POINTS = 256
@@ -94,12 +95,13 @@ def read_table(path: str) -> Dataset:
     header = [cell.strip() for cell in rows[0]]
     if header == COUNT_HEADER:
         parse = _parse_counts
-    elif header == SUMMARY_HEADER:
+    elif header in (SUMMARY_HEADER, _LOGIT_HEADER):
         parse = _parse_summary
     else:
         raise _InputError(
             f"{path}: unrecognized header {','.join(header)!r}; expected "
-            f"{','.join(COUNT_HEADER)!r} or {','.join(SUMMARY_HEADER)!r}"
+            f"{','.join(COUNT_HEADER)!r}, {','.join(SUMMARY_HEADER)!r} "
+            f"or {','.join(_LOGIT_HEADER)!r}"
         )
     studies = []
     for i, row in enumerate(rows[1:], start=2):
@@ -110,24 +112,14 @@ def read_table(path: str) -> Dataset:
     return Dataset(studies)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         _write_atomic(path, text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _default_seed(value: int | None) -> int:
@@ -178,12 +170,14 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ccr, moment_fit = confidence_region(d, "ccr", alpha, "moment_bc")
-        ncr_moment, _ = confidence_region(d, "ncr", alpha, "moment_bc")
         reml_fit = None
         ncr_reml = None
         if estimator in ("reml", "both"):
             ncr_reml, reml_fit = confidence_region(d, "ncr", alpha, "reml")
     messages = [str(w.message) for w in caught]
+    ncr_moment = ConfidenceRegion(
+        ccr.center, ccr.shape, chi2_quantile(alpha, 2), h=0.0, alpha=alpha, method="ncr"
+    )
 
     _, s = d.arrays()
     primary = reml_fit if estimator == "reml" else moment_fit
@@ -295,7 +289,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     report, plot = _fit_report(d, args.alpha, args.estimator)
     _emit(json.dumps(report, indent=2) + "\n", args.json)
     if args.svg is not None:
-        _write_atomic(args.svg, _render_svg(d, plot))
+        _emit(_render_svg(d, plot), args.svg)
     return 0
 
 

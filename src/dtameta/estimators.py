@@ -34,21 +34,22 @@ __all__ = [
 ]
 
 
-def _d_stack(s: np.ndarray, sigma: Sym2) -> np.ndarray:
-    """Stack of marginal covariances D_i = Sigma + diag(s_i), shape (n, 2, 2)."""
-    n = s.shape[0]
-    d = np.broadcast_to(sigma.as_array(), (n, 2, 2)).copy()
+def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Stack of marginal covariances D_i = Sigma + diag(s_i) for a 2x2 array Sigma."""
+    d = np.broadcast_to(sigma, (s.shape[0], 2, 2)).copy()
     d[:, 0, 0] += s[:, 0]
     d[:, 1, 1] += s[:, 1]
     return d
 
 
-def _precisions(s: np.ndarray, sigma: Sym2) -> np.ndarray:
-    d = _d_stack(s, sigma)
+def _precisions(s: np.ndarray, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated stacks (D, G = D^{-1}, A = sum_i G_i) at a candidate Sigma."""
+    d = _d_stack(s, sigma.as_array())
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
     if np.any(det <= 0) or np.any(d[:, 0, 0] <= 0):
         raise ValueError("singular or indefinite marginal covariance D_i")
-    return np.linalg.inv(d)
+    g = np.linalg.inv(d)
+    return d, g, g.sum(axis=0)
 
 
 def ols_beta(d: Dataset) -> np.ndarray:
@@ -64,8 +65,7 @@ def gls_beta(d: Dataset, sigma: Sym2) -> np.ndarray:
     y, s = d.arrays()
     if d.n == 0:
         raise DataError("empty dataset")
-    g = _precisions(s, sigma)
-    a = g.sum(axis=0)
+    _, g, a = _precisions(s, sigma)
     return np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
 
 
@@ -74,8 +74,7 @@ def v_matrix(d: Dataset, sigma: Sym2) -> Sym2:
     _, s = d.arrays()
     if d.n == 0:
         raise DataError("empty dataset")
-    g = _precisions(s, sigma)
-    a = g.sum(axis=0)
+    _, _, a = _precisions(s, sigma)
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if det <= 0 or a[0, 0] <= 0:
         raise ValueError("accumulated precision is singular")
@@ -156,9 +155,7 @@ def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     if not (math.isfinite(l11) and math.isfinite(l22)):
         return math.inf
     sig = np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
-    d = sig[None, :, :] + np.zeros((y.shape[0], 2, 2))
-    d[:, 0, 0] += s[:, 0]
-    d[:, 1, 1] += s[:, 1]
+    d = _d_stack(s, sig)
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
     if np.any(det <= 0):
         return math.inf

@@ -7,8 +7,10 @@ of the random matrix K = {V(Sigma_hat) - V(Sigma)} V(Sigma)^{-1}:
 
 This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
-and average. It exists to validate the analytic formulas, so it shares no
-code path with them beyond the basic estimators.
+and average. It exists to validate the analytic formulas, so mc_b_moments
+shares only the moment estimator and the D-stack with them. mc_coverage
+measures the coverage the corrected region attains rather than checking its
+terms, and runs the same replication fit as simlab (_rep_fit, _rep_h).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _moment_bc_array
+from .estimators import _d_stack, _moment_bc_array
 from .model import BTerms, DataError, Sym2
-from .regions import _b_star_kernel, chi2_quantile, h_adjust
+from .regions import _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -78,15 +80,6 @@ def rep_stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _chol_stack(sigma: Sym2, s: np.ndarray) -> np.ndarray:
-    """Cholesky factors of D_i = sigma + diag(s_i), shape (n, 2, 2)."""
-    n = s.shape[0]
-    d = np.broadcast_to(sigma.as_array(), (n, 2, 2)).copy()
-    d[:, 0, 0] += s[:, 0]
-    d[:, 1, 1] += s[:, 1]
-    return np.linalg.cholesky(d)
-
-
 def _draw_y(rng: np.random.Generator, chol: np.ndarray) -> np.ndarray:
     """One dataset: two standard normals per study, colored by each D_i's Cholesky factor."""
     z = rng.standard_normal(chol.shape[:1] + (2,))
@@ -94,10 +87,7 @@ def _draw_y(rng: np.random.Generator, chol: np.ndarray) -> np.ndarray:
 
 
 def _v_of(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
-    d = np.broadcast_to(sigma, (s.shape[0], 2, 2)).copy()
-    d[:, 0, 0] += s[:, 0]
-    d[:, 1, 1] += s[:, 1]
-    return np.linalg.inv(np.linalg.inv(d).sum(axis=0))
+    return np.linalg.inv(np.linalg.inv(_d_stack(s, sigma)).sum(axis=0))
 
 
 def mc_b_moments(
@@ -128,7 +118,7 @@ def mc_b_moments(
         tr_k2 = float(np.einsum("ab,ba->", k, k))
         return BTerms(tr_k * tr_k, tr_k2, tr_k), (0.0, 0.0, 0.0)
 
-    chol = _chol_stack(cfg.sigma_true, s)
+    chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     stats = np.empty((cfg.reps, 3))
     for r in range(cfg.reps):
         rng = rep_stream(cfg.seed, r)
@@ -194,7 +184,7 @@ def mc_coverage(
 
     s = cfg.s_array()
     x = chi2_quantile(alpha, 2)
-    chol = _chol_stack(cfg.sigma_true, s)
+    chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     hits = 0
     h_values = np.zeros(cfg.reps)
     with warnings.catch_warnings():
@@ -202,19 +192,11 @@ def mc_coverage(
         for r in range(cfg.reps):
             rng = rep_stream(cfg.seed, r)
             y = _draw_y(rng, chol)
-            sig_hat, _ = _moment_bc_array(y, s)
-            d = np.broadcast_to(sig_hat, (cfg.n, 2, 2)).copy()
-            d[:, 0, 0] += s[:, 0]
-            d[:, 1, 1] += s[:, 1]
-            g = np.linalg.inv(d)
-            a = g.sum(axis=0)
-            beta = np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
-            q = float(beta @ a @ beta)
+            q, d, g, a = _rep_fit(y, s)
             if method == "ncr":
                 hits += q <= x
             else:
-                v = np.linalg.inv(a)
-                h = h_adjust(BTerms(*_b_star_kernel(d, g, v)), 2, x)
+                h = _rep_h(d, g, a, x)
                 h_values[r] = h
                 if 1.0 + h > 0.0:
                     hits += q <= x * (1.0 + h)

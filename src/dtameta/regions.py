@@ -16,7 +16,15 @@ import warnings
 import numpy as np
 from scipy.special import gammainccinv
 
-from .estimators import bias_corrected_sigma, gls_beta, reml_sigma, v_matrix, _d_stack
+from .estimators import (
+    _d_stack,
+    _moment_bc_array,
+    _precisions,
+    bias_corrected_sigma,
+    gls_beta,
+    reml_sigma,
+    v_matrix,
+)
 from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
@@ -67,10 +75,8 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
     b1 uses P = sum_j G_j V G_j, after which the ijk sum factorizes into
     (2/n^2) sum_i tr((P D_i)^2); the remaining terms need only pair tensors.
     """
-    n = d.n
     _, s = d.arrays()
-    dmats = _d_stack(s, sigma)
-    g = np.linalg.inv(dmats)
+    dmats, g, _ = _precisions(s, sigma)
     v = v_matrix(d, sigma).as_array()
     b1, b2, b3 = _b_star_kernel(dmats, g, v)
     return BTerms(b1, b2, b3)
@@ -98,6 +104,24 @@ def _b_star_kernel(dmats: np.ndarray, g: np.ndarray, v: np.ndarray) -> tuple[flo
     b3 = b2 - c1 - c2
 
     return float(b1), float(b2), float(b3)
+
+
+def _rep_fit(y: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Moment and GLS fit of one Monte Carlo replication: (q about (0, 0), D, G, A = sum G).
+
+    D is not checked: the clamped estimate plus positive s_i is positive definite.
+    """
+    sig_hat, _ = _moment_bc_array(y, s)
+    d = _d_stack(s, sig_hat)
+    g = np.linalg.inv(d)
+    a = g.sum(axis=0)
+    beta = np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
+    return float(beta @ a @ beta), d, g, a
+
+
+def _rep_h(d: np.ndarray, g: np.ndarray, a: np.ndarray, x: float) -> float:
+    """Threshold adjustment h at x for one replication's stacks from _rep_fit."""
+    return h_adjust(BTerms(*_b_star_kernel(d, g, np.linalg.inv(a))), 2, x)
 
 
 def h_adjust(b: BTerms, k: int = 2, x: float | None = None) -> float:

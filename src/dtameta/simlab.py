@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _moment_bc_array, i_squared
-from .model import BTerms, Dataset, Study
+from .estimators import i_squared
+from .model import Dataset, Study
 from .oracle import rep_stream
-from .regions import _b_star_kernel, chi2_quantile, h_adjust
+from .regions import _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
     "Scenario",
@@ -148,16 +148,8 @@ def _run_scenario(sc: Scenario) -> GridResult:
         warnings.simplefilter("ignore")
         for r in range(sc.reps):
             y, s = gen_dataset(sc, r).arrays()
-            sig_hat, _ = _moment_bc_array(y, s)
-            d = np.broadcast_to(sig_hat, (sc.n, 2, 2)).copy()
-            d[:, 0, 0] += s[:, 0]
-            d[:, 1, 1] += s[:, 1]
-            g = np.linalg.inv(d)
-            a = g.sum(axis=0)
-            beta = np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
-            q = float(beta @ a @ beta)
-            v = np.linalg.inv(a)
-            h = h_adjust(BTerms(*_b_star_kernel(d, g, v)), 2, x)
+            q, d, g, a = _rep_fit(y, s)
+            h = _rep_h(d, g, a, x)
             h_values[r] = h
             i2_values[r] = i_squared(s[:, 0], sc.tau2)
             hits_ncr += q <= x
@@ -217,9 +209,8 @@ def grid_to_csv(results: Sequence[GridResult]) -> str:
     return buf.getvalue()
 
 
-def write_grid_csv(results: Sequence[GridResult], path: str) -> None:
-    """Write the grid CSV atomically (temp file in the target directory, then rename)."""
-    text = grid_to_csv(results)
+def _write_atomic(path: str, text: str) -> None:
+    """Write text via a temp file in the target directory and a rename; OSError propagates."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -230,3 +221,8 @@ def write_grid_csv(results: Sequence[GridResult], path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_grid_csv(results: Sequence[GridResult], path: str) -> None:
+    """Write the grid CSV atomically (temp file in the target directory, then rename)."""
+    _write_atomic(path, grid_to_csv(results))

@@ -2,16 +2,30 @@ import csv
 import io
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dtameta.cli as cli
-from dtameta import RegionUndefinedError, chi2_quantile, summarize_counts, to_roc_space
+from dtameta import (
+    BTerms,
+    ConfidenceRegion,
+    FitResult,
+    RegionUndefinedError,
+    Sym2,
+    chi2_quantile,
+    confidence_region,
+    summarize_counts,
+    to_roc_space,
+)
 from dtameta.cli import main, read_table
 
 X05 = 5.991464547107982
 SVG_NS = "{http://www.w3.org/2000/svg}"
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 # five studies with enough between-study spread that the moment estimate
 # stays positive definite (so the fit report includes an sroc curve)
@@ -106,6 +120,22 @@ class TestReadTable:
         assert code == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns", ["y_sens,y_spec", "logit_sens,logit_spec"])
+    def test_summary_headers(self, tmp_path, columns):
+        path = tmp_path / "summary.csv"
+        path.write_text(f"id,{columns},var_sens,var_spec\na,1.5,2.0,0.1,0.2\nb,0.5,1,0.3,0.4\n")
+        d = read_table(str(path))
+        got = [(st.id, st.y_a, st.y_b, st.s_a, st.s_b) for st in d.studies]
+        assert got == [("a", 1.5, 2.0, 0.1, 0.2), ("b", 0.5, 1.0, 0.3, 0.4)]
+
+    def test_unrecognized_header_names_every_form(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,sens,spec,var_sens,var_spec\na,1,2,0.1,0.2\n")
+        assert main(["fit", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        for header in ("id,tp,fn,fp,tn", "id,y_sens,y_spec,", "id,logit_sens,logit_spec,"):
+            assert header in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["fit", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
@@ -177,6 +207,21 @@ class TestFitCommand:
         assert capsys.readouterr().out == ""
         rep = json.loads(out.read_text())
         assert rep["estimator"] == "moment_bc"
+
+    @pytest.mark.parametrize("estimator,alpha", [("moment", "0.05"), ("both", "0.2")])
+    def test_ncr_region_matches_public_fit(self, capsys, fixtures_dir, estimator, alpha):
+        path = str(fixtures_dir / "synthetic14.csv")
+        _, rep = run_fit_json(capsys, "--input", path, "--estimator", estimator, "--alpha", alpha)
+        region, _ = confidence_region(read_table(path), "ncr", float(alpha))
+        sh = region.shape
+        assert rep["regions"]["ncr"] == {
+            "center": list(region.center),
+            "shape": [[sh.a11, sh.a12], [sh.a12, sh.a22]],
+            "threshold": region.threshold,
+            "h": 0.0,
+            "alpha": float(alpha),
+            "method": "ncr",
+        }
 
     def test_reml_estimator(self, capsys, fixtures_dir):
         code, rep = run_fit_json(
@@ -372,6 +417,57 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--tau2", "a,b", "--rho", "0", "--n", "4"])
         assert exc.value.code == 2
+
+
+OUTPUT_ARGS = {
+    "fit --json": lambda table, out: ["fit", "--input", table, "--json", out],
+    "fit --svg": lambda table, out: ["fit", "--input", table, "--svg", out],
+    "simulate --out": lambda table, out: SIM_ARGS + ["--out", out],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("flag", sorted(OUTPUT_ARGS))
+    @pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+    def test_exits_2_and_leaves_no_temp_file(self, capsys, summary_table, tmp_path, flag, target):
+        if target == "missing directory":
+            out = tmp_path / "no" / "such" / "dir" / "out"
+        else:
+            # the temp file is written, then the rename onto a directory fails
+            out = tmp_path / "taken"
+            out.mkdir()
+        code = main(OUTPUT_ARGS[flag](summary_table, str(out)))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def fenced_block(text, lang):
+    """Body of the first ```lang block in text."""
+    m = re.search(rf"```{lang}\n(.*?)```", text, re.S)
+    assert m is not None, f"no {lang} block"
+    return m.group(1)
+
+
+class TestReadmeExamples:
+    def test_summary_form_example_fits(self, tmp_path, capsys):
+        path = tmp_path / "readme_summary.csv"
+        path.write_text(fenced_block(README[README.index("Summary form"):], "csv"))
+        assert main(["fit", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["estimator"] == "moment_bc"
+
+    def test_python_api_example_runs(self):
+        code = fenced_block(README[README.index("## Python API"):], "python")
+        ns = {"rows": COUNT_ROWS}
+        exec(compile(code, "README.md", "exec"), ns)
+        assert isinstance(ns["sigma"], Sym2) and isinstance(ns["v"], Sym2)
+        assert ns["beta"].shape == (2,)
+        assert isinstance(ns["terms"], BTerms)
+        assert isinstance(ns["ccr"], ConfidenceRegion) and isinstance(ns["fit"], FitResult)
+        assert ns["h"] == ns["fit"].h
+        assert ns["ring"].shape == (256, 2) and np.all(np.isfinite(ns["ring"]))
 
 
 class TestValidateCommand:

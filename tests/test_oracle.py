@@ -21,6 +21,7 @@ from dtameta import (
     rep_stream,
     v_matrix,
 )
+from dtameta import oracle
 from dtameta.simlab import gen_within_variances
 
 X05 = 5.991464547107982
@@ -290,6 +291,14 @@ class TestMcCoverage:
     def test_deterministic_given_config(self):
         cfg = homogeneous_config(6, 100, 8)
         assert mc_coverage(cfg) == mc_coverage(cfg)
+
+    def test_ncr_skips_the_trace_kernel(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("trace kernel called for the naive region")
+
+        monkeypatch.setattr(oracle, "_rep_h", fail)
+        cov, _, _ = mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
+        assert 0.0 < cov <= 1.0
 
     def test_ncr_median_h_is_zero(self):
         cfg = homogeneous_config(6, 100, 8)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from dtameta import (
     GridResult,
     Scenario,
+    confidence_region,
     gen_dataset,
     gen_within_variances,
     grid_to_csv,
+    region_contains,
     rep_stream,
     run_grid,
     write_grid_csv,
@@ -166,6 +169,26 @@ class TestRunGrid:
         assert res.coverage_ncr in (0.0, 1.0)
         assert res.coverage_ccr in (0.0, 1.0)
         assert res.mc_se == 0.0
+
+    @pytest.mark.parametrize(
+        "sc",
+        [
+            Scenario(tau2=0.2, rho=0.0, n=8, reps=1, seed=0),  # both regions cover
+            Scenario(tau2=0.4, rho=0.4, n=4, reps=1, seed=1),  # only the corrected one covers
+            Scenario(tau2=0.0, rho=0.5, n=5, reps=1, seed=11),  # the same, with tau2 = 0
+            Scenario(tau2=0.2, rho=0.4, n=16, reps=1, seed=2),  # neither covers
+        ],
+    )
+    def test_replication_matches_public_fit(self, sc):
+        res = run_grid([sc])[0]
+        d = gen_dataset(sc, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ncr, _ = confidence_region(d, "ncr", sc.alpha)
+            ccr, fit = confidence_region(d, "ccr", sc.alpha)
+        assert res.coverage_ncr == float(region_contains(ncr, (0.0, 0.0)))
+        assert res.coverage_ccr == float(region_contains(ccr, (0.0, 0.0)))
+        assert res.median_h == pytest.approx(fit.h, rel=1e-12)
 
     @pytest.mark.slow
     def test_smoke_grid_invariants(self):
