@@ -112,14 +112,15 @@ def read_table(path: str) -> Dataset:
     return Dataset(studies)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
+    """Write each (text, path) pair: all files in one atomic call, then stdout for path None."""
     try:
-        _write_atomic(path, text)
+        _write_atomic([(path, text) for text, path in outputs if path is not None])
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror or exc}")
+        raise _InputError(f"cannot write {exc.filename}: {exc.strerror or exc}")
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _default_seed(value: int | None) -> int:
@@ -287,9 +288,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         sys.stderr.write(f"need at least 3 studies to fit, got {d.n}\n")
         return EXIT_TOO_FEW
     report, plot = _fit_report(d, args.alpha, args.estimator)
-    _emit(json.dumps(report, indent=2) + "\n", args.json)
+    outputs = [(json.dumps(report, indent=2) + "\n", args.json)]
     if args.svg is not None:
-        _emit(_render_svg(d, plot), args.svg)
+        outputs.append((_render_svg(d, plot), args.svg))
+    _emit(outputs)
     return 0
 
 
@@ -313,7 +315,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         header = "y_sens,y_spec"
         rows = [(p[0], p[1]) for p in pts]
     lines = [header] + [f"{u:.17g},{v:.17g}" for u, v in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit([("\n".join(lines) + "\n", args.out)])
     return 0
 
 
@@ -353,7 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(str(exc))
     results = run_grid(scenarios)
-    _emit(grid_to_csv(results), args.out)
+    _emit([(grid_to_csv(results), args.out)])
     return 0
 
 

@@ -13,7 +13,6 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     DataError,
@@ -75,6 +74,11 @@ def v_matrix(d: Dataset, sigma: Sym2) -> Sym2:
     if d.n == 0:
         raise DataError("empty dataset")
     _, _, a = _precisions(s, sigma)
+    return _inverse_precision(a)
+
+
+def _inverse_precision(a: np.ndarray) -> Sym2:
+    """V = A^{-1} for accumulated precisions A = sum_i G_i, rejecting a singular A."""
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if det <= 0 or a[0, 0] <= 0:
         raise ValueError("accumulated precision is singular")
@@ -179,6 +183,9 @@ def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
     optimizer stops on its iteration cap a RemlConvergenceWarning is emitted
     and the best iterate is returned.
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import minimize
+
     if d.n < 3:
         raise DataError("REML needs at least 3 studies")
     y, s = d.arrays()

@@ -14,10 +14,10 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .estimators import (
     _d_stack,
+    _inverse_precision,
     _moment_bc_array,
     _precisions,
     bias_corrected_sigma,
@@ -29,6 +29,7 @@ from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
     ConfidenceRegion,
+    DataError,
     Dataset,
     FitResult,
     RegionUndefinedError,
@@ -57,6 +58,9 @@ def chi2_quantile(alpha: float, k: int = 2) -> float:
         raise ValueError("degrees of freedom must be a positive integer")
     if k == 2:
         return -2.0 * math.log(alpha)
+    # imported here: scipy.special is most of the package's import time
+    from scipy.special import gammainccinv
+
     return float(2.0 * gammainccinv(k / 2.0, alpha))
 
 
@@ -71,36 +75,41 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
       b3 = b2 - (1/n^2) sum_{ij} tr(V U_{iji} D_j G_i)
               - (1/n^2) sum_{ij} tr(G_i D_j) tr(V U_{iji})
 
-    The sums are contracted without materializing the triple index:
-    b1 uses P = sum_j G_j V G_j, after which the ijk sum factorizes into
-    (2/n^2) sum_i tr((P D_i)^2); the remaining terms need only pair tensors.
+    Each study index in these products labels only its own two or three
+    factors (G_i G_i, D_i D_i or G_i G_i G_i), so summing it out first gives
+    one of three Kronecker moment sums, GG = sum_i G_i (x) G_i,
+    DD = sum_i D_i (x) D_i and GGG = sum_i G_i (x) G_i (x) G_i. Building
+    them is the only O(n) work. Every trace is then a contraction of V with
+    2^4- and 2^6-entry tensors, so time is linear in n and memory constant.
     """
     _, s = d.arrays()
-    dmats, g, _ = _precisions(s, sigma)
-    v = v_matrix(d, sigma).as_array()
-    b1, b2, b3 = _b_star_kernel(dmats, g, v)
+    if d.n == 0:
+        raise DataError("empty dataset")
+    dmats, g, a = _precisions(s, sigma)
+    b1, b2, b3 = _b_star_kernel(dmats, g, _inverse_precision(a).as_array())
     return BTerms(b1, b2, b3)
 
 
 def _b_star_kernel(dmats: np.ndarray, g: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Contraction core of b_star on prebuilt stacks D (n,2,2), G = D^{-1}, V."""
-    n = dmats.shape[0]
-    p = np.einsum("jab,bc,jcd->ad", g, v, g)
-    pd = np.einsum("ab,ibc->iac", p, dmats)
-    b1 = 2.0 * np.einsum("iab,iba->", pd, pd) / n**2
+    """Contraction core of b_star on prebuilt stacks D (n,2,2), G = D^{-1}, V.
 
-    w = np.einsum("jab,ibc,jcd->iad", g, dmats, g)
-    wv = np.einsum("iab,bc->iac", w, v)
-    t1 = np.einsum("iab,iba->", wv, wv) / n**2
-    tv = np.einsum("ab,jbc,icd,kda->ijk", v, g, dmats, g)
-    t2 = np.einsum("ijk,ikj->", tv, tv) / n**2
+    The einsums run without path optimization: the operands are at most
+    2^6 entries, and the path search would cost more than the contraction.
+    """
+    n2 = dmats.shape[0] ** 2
+    gg = np.einsum("iab,icd->abcd", g, g)
+    dd = np.einsum("iab,icd->abcd", dmats, dmats)
+    ggg = np.einsum("iab,icd,ief->abcdef", g, g, g)
+
+    p = np.einsum("abcd,bc->ad", gg, v)
+    b1 = 2.0 * np.einsum("ab,cd,bcda->", p, p, dd) / n2
+
+    t1 = np.einsum("abcd,de,efgh,ha,bcfg->", gg, v, gg, v, dd) / n2
+    t2 = np.einsum("ab,ef,bche,cdgh,dafg->", v, v, gg, dd, gg) / n2
     b2 = t1 + t2
 
-    gdg = np.einsum("iab,jbc,icd->ijad", g, dmats, g)
-    c1 = np.einsum("ab,ijbc,jcd,ida->", v, gdg, dmats, g) / n**2
-    tr_gd = np.einsum("iab,jba->ij", g, dmats)
-    tr_vgdg = np.einsum("ab,ijba->ij", v, gdg)
-    c2 = np.einsum("ij,ij->", tr_gd, tr_vgdg) / n**2
+    c1 = np.einsum("ab,bxycda,xycd->", v, ggg, dd) / n2
+    c2 = np.einsum("ab,pqbxya,qpxy->", v, ggg, dd) / n2
     b3 = b2 - c1 - c2
 
     return float(b1), float(b2), float(b3)

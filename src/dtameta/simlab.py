@@ -11,6 +11,7 @@ the median threshold adjustment, and the mean heterogeneity fraction.
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
@@ -209,20 +210,36 @@ def grid_to_csv(results: Sequence[GridResult]) -> str:
     return buf.getvalue()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text via a temp file in the target directory and a rename; OSError propagates."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(files: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) pair via a temp file in the target's directory and a rename.
+
+    Every temp file is written before the first rename, and a target that is
+    an existing directory (onto which a rename would fail) is rejected while
+    staging, so a failed call leaves no target touched. On failure every temp
+    file is removed and the OSError is raised again with the target path as
+    its filename.
+    """
+    staged: list[str] = []
+    target = None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for target, text in files:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, (target, _) in zip(staged, files):
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, target) from exc
         raise
 
 
 def write_grid_csv(results: Sequence[GridResult], path: str) -> None:
     """Write the grid CSV atomically (temp file in the target directory, then rename)."""
-    _write_atomic(path, grid_to_csv(results))
+    _write_atomic([(path, grid_to_csv(results))])

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -433,7 +436,7 @@ class TestUnwritableOutput:
         if target == "missing directory":
             out = tmp_path / "no" / "such" / "dir" / "out"
         else:
-            # the temp file is written, then the rename onto a directory fails
+            # a rename onto a directory would fail after staging
             out = tmp_path / "taken"
             out.mkdir()
         code = main(OUTPUT_ARGS[flag](summary_table, str(out)))
@@ -441,6 +444,28 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("json_to", ["file", "stdout"])
+    @pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+    def test_fit_writes_nothing_when_the_svg_path_fails(
+        self, capsys, summary_table, tmp_path, json_to, target
+    ):
+        report = tmp_path / "r.json"
+        if target == "missing directory":
+            svg = tmp_path / "no" / "such" / "dir" / "p.svg"
+        else:
+            svg = tmp_path / "taken"
+            svg.mkdir()
+        argv = ["fit", "--input", summary_table, "--svg", str(svg)]
+        if json_to == "file":
+            argv += ["--json", str(report)]
+        code = main(argv)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {svg}: ")
+        assert out == ""
+        assert not report.exists()
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
@@ -502,6 +527,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.optimize and scipy.special are most of the import time; only
+        # REML and chi-square quantiles with k != 2 need them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, dtameta.cli; "
+            "print(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_success_returns_int_zero(self, capsys, summary_table):
         code = main(["fit", "--input", summary_table])

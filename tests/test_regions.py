@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtameta import (
     AdjustmentMagnitudeWarning,
@@ -82,7 +84,7 @@ def b_star_reference(d: Dataset, sigma: Sym2):
     """Literal triple-index implementation of the three trace statistics.
 
     Written directly from the definitions with U_{jik} = G_j D_i G_k and no
-    contraction shortcuts, as an independent check of the einsum kernel.
+    contraction shortcuts, as an independent check of the moment-sum kernel.
     """
     _, s = d.arrays()
     n = d.n
@@ -132,7 +134,31 @@ class TestBStar:
         assert b.b2 == pytest.approx(r2, rel=1e-10)
         assert b.b3 == pytest.approx(r3, rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.integers(2, 10).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)), min_size=n, max_size=n
+            )
+        ),
+        rank=st.sampled_from([0, 1, 2]),
+        l11=st.floats(0.05, 1.0),
+        l21=st.floats(-1.0, 1.0),
+        l22=st.floats(0.05, 1.0),
+    )
+    def test_matches_literal_triple_sum_on_psd_sigma(self, s, rank, l11, l21, l22):
+        # Sigma = L L' of rank 0 (the clamped zero estimate), 1 or 2
+        l = np.array([[l11, 0.0], [l21, l22]])
+        l[:, rank:] = 0.0
+        sigma = Sym2.from_array(l @ l.T)
+        d = make_dataset([(0.0, 0.0)] * len(s), s)
+        b = b_star(d, sigma)
+        r1, r2, r3 = b_star_reference(d, sigma)
+        assert b.b1 == pytest.approx(r1, rel=1e-10)
+        assert b.b2 == pytest.approx(r2, rel=1e-10)
+        assert b.b3 == pytest.approx(r3, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
     def test_homogeneous_closed_forms(self, n):
         # identical studies: b1 = 4/n, b2 = 6/n, b3 = 0 regardless of D
         d = make_dataset([(0.0, 0.0)] * n, [(0.2, 0.35)] * n)
@@ -140,6 +166,18 @@ class TestBStar:
         assert b.b1 == pytest.approx(4.0 / n, rel=1e-10)
         assert b.b2 == pytest.approx(6.0 / n, rel=1e-10)
         assert b.b3 == pytest.approx(0.0, abs=1e-12)
+
+    def test_memory_does_not_grow_with_the_cube_of_n(self):
+        # an (n, n, n) float tensor alone would need about 550 GB at n = 4096
+        rng = np.random.default_rng(104)
+        d = random_dataset(rng, 4096)
+        tracemalloc.start()
+        try:
+            b_star(d, Sym2(0.3, 0.05, 0.25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_nonnegative_square_terms(self):
         rng = np.random.default_rng(103)
