@@ -34,10 +34,14 @@ __all__ = [
 
 
 def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Stack of marginal covariances D_i = Sigma + diag(s_i) for a 2x2 array Sigma."""
-    d = np.broadcast_to(sigma, (s.shape[0], 2, 2)).copy()
-    d[:, 0, 0] += s[:, 0]
-    d[:, 1, 1] += s[:, 1]
+    """Marginal covariances D_i = Sigma + diag(s_i), shape (..., n, 2, 2).
+
+    sigma is (..., 2, 2) and s (..., n, 2) with the same leading axes, or one
+    (n, 2) design shared by every Sigma in the stack.
+    """
+    d = np.repeat(sigma[..., None, :, :], s.shape[-2], axis=-3)
+    d[..., 0, 0] += s[..., 0]
+    d[..., 1, 1] += s[..., 1]
     return d
 
 
@@ -102,28 +106,44 @@ def moment_sigma0(d: Dataset) -> Sym2:
     return Sym2.from_array(m)
 
 
-def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Project onto the PSD cone by zeroing negative eigenvalues."""
+def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each 2x2 of a (..., 2, 2) stack onto the PSD cone by zeroing negative eigenvalues.
+
+    Returns (projected stack, mask of the matrices that changed). Only the
+    matrices with a negative eigenvalue are rebuilt; the rest pass through.
+    """
     w, q = np.linalg.eigh(m)
-    if w[0] >= 0:
-        return m, False
-    return (q * np.maximum(w, 0.0)) @ q.T, True
+    neg = w[..., 0] < 0
+    if not neg.any():
+        return m, neg
+    out = m.copy()
+    qn = q[neg]
+    out[neg] = (qn * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(qn, -1, -2)
+    return out, neg
 
 
-def _moment_bc_array(y: np.ndarray, s: np.ndarray, project: bool = True) -> tuple[np.ndarray, bool]:
+def _moment_bc_array(
+    y: np.ndarray, s: np.ndarray, project: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """Array-level bias-corrected moment estimate, (sigma_hat, projection_applied).
 
-    Shared by the public estimator and the Monte Carlo hot loops, which call
-    it directly on (n, 2) arrays and handle warnings themselves.
+    y is (..., n, 2) and s (..., n, 2) or one (n, 2) design for every leading
+    index; the result is (..., 2, 2) with a matching mask of clamped
+    estimates. Shared by the public estimator and the Monte Carlo loops,
+    which call it on replication stacks and emit no warnings.
     """
-    n = y.shape[0]
-    r = y - y.mean(axis=0)
-    s0 = np.einsum("ia,ib->ab", r, r) / n
-    s0[0, 0] -= s[:, 0].mean()
-    s0[1, 1] -= s[:, 1].mean()
-    m = s0 + (n * s0 + np.diag(s.sum(axis=0))) / n**2
+    n = y.shape[-2]
+    r = y - y.mean(axis=-2, keepdims=True)
+    s0 = np.einsum("...ia,...ib->...ab", r, r) / n
+    s0[..., 0, 0] -= s[..., 0].mean(axis=-1)
+    s0[..., 1, 1] -= s[..., 1].mean(axis=-1)
+    c = n * s0
+    col = s.sum(axis=-2)
+    c[..., 0, 0] += col[..., 0]
+    c[..., 1, 1] += col[..., 1]
+    m = s0 + c / n**2
     if not project:
-        return m, False
+        return m, np.zeros(m.shape[:-2], dtype=bool)
     return _psd_clamp(m)
 
 
@@ -229,7 +249,12 @@ def i_squared(within_vars: Sequence[float], tau2: float) -> float:
         raise ValueError("within-study variances must be positive")
     if tau2 < 0:
         raise ValueError("tau2 must be nonnegative")
+    return float(_i2_array(v, tau2))
+
+
+def _i2_array(v: np.ndarray, tau2: float) -> np.ndarray:
+    """i_squared of every row of a (..., n) stack of within-study variances, unvalidated."""
     w = 1.0 / v
-    sw = w.sum()
-    q = (v.size - 1) * sw / (sw * sw - (w * w).sum())
-    return float(tau2 / (q + tau2))
+    sw = w.sum(axis=-1)
+    q = (v.shape[-1] - 1) * sw / (sw * sw - (w * w).sum(axis=-1))
+    return tau2 / (q + tau2)

@@ -86,13 +86,16 @@ class Dataset:
         return len(self.studies)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (y, s) as float arrays of shape (n, 2)."""
-        y = np.array([(st.y_a, st.y_b) for st in self.studies], dtype=float)
-        s = np.array([(st.s_a, st.s_b) for st in self.studies], dtype=float)
-        if y.size == 0:
-            y = y.reshape(0, 2)
-            s = s.reshape(0, 2)
-        return y, s
+        """Return (y, s) as read-only float arrays of shape (n, 2), built on the first call."""
+        cached = self.__dict__.get("_arrays")
+        if cached is None:
+            y = np.array([(st.y_a, st.y_b) for st in self.studies], dtype=float).reshape(-1, 2)
+            s = np.array([(st.s_a, st.s_b) for st in self.studies], dtype=float).reshape(-1, 2)
+            y.flags.writeable = False
+            s.flags.writeable = False
+            cached = (y, s)
+            object.__setattr__(self, "_arrays", cached)
+        return cached
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,23 @@ and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator and the D-stack with them. mc_coverage
 measures the coverage the corrected region attains rather than checking its
 terms, and runs the same replication fit as simlab (_rep_fit, _rep_h).
+
+Both run in two phases per chunk of replications: a draw loop fills an
+(R, n, 2) stack of y, replication r from its own rep_stream(seed, r), and
+the fit then runs once on the stack. Chunks hold a fixed bound of
+replication x study rows, and chunking never changes a result.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import _d_stack, _moment_bc_array
 from .model import BTerms, DataError, Sym2
-from .regions import _rep_fit, _rep_h, chi2_quantile
+from .regions import _chunks, _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -87,7 +91,16 @@ def _draw_y(rng: np.random.Generator, chol: np.ndarray) -> np.ndarray:
 
 
 def _v_of(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(np.linalg.inv(_d_stack(s, sigma)).sum(axis=0))
+    """V(Sigma) = (sum_i (Sigma + S_i)^{-1})^{-1} for a (..., 2, 2) stack of Sigma."""
+    return np.linalg.inv(np.linalg.inv(_d_stack(s, sigma)).sum(axis=-3))
+
+
+def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
+    """The (R, n, 2) stack of y for replications reps, each from its own stream."""
+    y = np.empty((len(reps), cfg.n, 2))
+    for j, r in enumerate(reps):
+        y[j] = _draw_y(rep_stream(cfg.seed, r), chol)
+    return y
 
 
 def mc_b_moments(
@@ -98,8 +111,10 @@ def mc_b_moments(
     Each replication simulates y_i ~ N2(0, sigma_true + S_i) (the mean is
     irrelevant by translation invariance), re-estimates the between-study
     covariance with the bias-corrected moment estimator, and evaluates the
-    three traces of K. Replications are accumulated in index order, so a
-    given config reproduces bit-identically.
+    three traces of K. The draws come from per-replication streams and the
+    traces are computed on chunked replication stacks, each replication as
+    it would be alone, so a given config reproduces bit-identically however
+    it is chunked.
 
     sigma_hat_override pins the re-estimated covariance to a constant; with
     the truth itself K is identically zero. It exists for validation only and
@@ -120,15 +135,14 @@ def mc_b_moments(
 
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     stats = np.empty((cfg.reps, 3))
-    for r in range(cfg.reps):
-        rng = rep_stream(cfg.seed, r)
-        y = _draw_y(rng, chol)
-        sig_hat, _ = _moment_bc_array(y, s)
+    for reps in _chunks(cfg.reps, cfg.n):
+        sig_hat, _ = _moment_bc_array(_draw_stack(cfg, reps, chol), s)
         k = (_v_of(sig_hat, s) - v_true) @ v_true_inv
-        tr_k = k[0, 0] + k[1, 1]
-        stats[r, 0] = tr_k * tr_k
-        stats[r, 1] = np.einsum("ab,ba->", k, k)
-        stats[r, 2] = tr_k
+        tr_k = k[:, 0, 0] + k[:, 1, 1]
+        rows = slice(reps.start, reps.stop)
+        stats[rows, 0] = tr_k * tr_k
+        stats[rows, 1] = np.einsum("rab,rba->r", k, k)
+        stats[rows, 2] = tr_k
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)
     return BTerms(*map(float, means)), tuple(map(float, ses))
@@ -185,22 +199,15 @@ def mc_coverage(
     s = cfg.s_array()
     x = chi2_quantile(alpha, 2)
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
-    hits = 0
-    h_values = np.zeros(cfg.reps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in range(cfg.reps):
-            rng = rep_stream(cfg.seed, r)
-            y = _draw_y(rng, chol)
-            q, d, g, a = _rep_fit(y, s)
-            if method == "ncr":
-                hits += q <= x
-            else:
-                h = _rep_h(d, g, a, x)
-                h_values[r] = h
-                if 1.0 + h > 0.0:
-                    hits += q <= x * (1.0 + h)
+    q = np.empty(cfg.reps)
+    h = np.zeros(cfg.reps)
+    for reps in _chunks(cfg.reps, cfg.n):
+        rows = slice(reps.start, reps.stop)
+        q[rows], d, g, a = _rep_fit(_draw_stack(cfg, reps, chol), s)
+        if method == "ccr":
+            h[rows] = _rep_h(d, g, a, x)
+    hits = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h)))
     coverage = hits / cfg.reps
     se = math.sqrt(coverage * (1.0 - coverage) / cfg.reps)
-    median_h = float(np.median(h_values)) if method == "ccr" else 0.0
+    median_h = float(np.median(h)) if method == "ccr" else 0.0
     return coverage, se, median_h

@@ -86,51 +86,79 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
     if d.n == 0:
         raise DataError("empty dataset")
     dmats, g, a = _precisions(s, sigma)
-    b1, b2, b3 = _b_star_kernel(dmats, g, _inverse_precision(a).as_array())
-    return BTerms(b1, b2, b3)
+    v = _inverse_precision(a).as_array()
+    b1, b2, b3 = _b_star_kernel(dmats[None], g[None], v[None])
+    return BTerms(float(b1[0]), float(b2[0]), float(b3[0]))
 
 
-def _b_star_kernel(dmats: np.ndarray, g: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Contraction core of b_star on prebuilt stacks D (n,2,2), G = D^{-1}, V.
+def _b_star_kernel(
+    dmats: np.ndarray, g: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contraction core of b_star on R stacked replications: (b1, b2, b3), each (R,).
 
+    Takes D (R, n, 2, 2), G = D^{-1} and V (R, 2, 2); the leading axis
+    only indexes replications, so each row is computed as it would be alone.
     The einsums run without path optimization: the operands are at most
-    2^6 entries, and the path search would cost more than the contraction.
+    2^6 entries per replication, and the path search would cost more than
+    the contraction.
     """
-    n2 = dmats.shape[0] ** 2
-    gg = np.einsum("iab,icd->abcd", g, g)
-    dd = np.einsum("iab,icd->abcd", dmats, dmats)
-    ggg = np.einsum("iab,icd,ief->abcdef", g, g, g)
+    n2 = dmats.shape[-3] ** 2
+    gg = np.einsum("riab,ricd->rabcd", g, g)
+    dd = np.einsum("riab,ricd->rabcd", dmats, dmats)
+    ggg = np.einsum("riab,ricd,rief->rabcdef", g, g, g)
 
-    p = np.einsum("abcd,bc->ad", gg, v)
-    b1 = 2.0 * np.einsum("ab,cd,bcda->", p, p, dd) / n2
+    p = np.einsum("rabcd,rbc->rad", gg, v)
+    b1 = 2.0 * np.einsum("rab,rcd,rbcda->r", p, p, dd) / n2
 
-    t1 = np.einsum("abcd,de,efgh,ha,bcfg->", gg, v, gg, v, dd) / n2
-    t2 = np.einsum("ab,ef,bche,cdgh,dafg->", v, v, gg, dd, gg) / n2
+    t1 = np.einsum("rabcd,rde,refgh,rha,rbcfg->r", gg, v, gg, v, dd) / n2
+    t2 = np.einsum("rab,ref,rbche,rcdgh,rdafg->r", v, v, gg, dd, gg) / n2
     b2 = t1 + t2
 
-    c1 = np.einsum("ab,bxycda,xycd->", v, ggg, dd) / n2
-    c2 = np.einsum("ab,pqbxya,qpxy->", v, ggg, dd) / n2
+    c1 = np.einsum("rab,rbxycda,rxycd->r", v, ggg, dd) / n2
+    c2 = np.einsum("rab,rpqbxya,rqpxy->r", v, ggg, dd) / n2
     b3 = b2 - c1 - c2
 
-    return float(b1), float(b2), float(b3)
+    return b1, b2, b3
 
 
-def _rep_fit(y: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Moment and GLS fit of one Monte Carlo replication: (q about (0, 0), D, G, A = sum G).
+# Bound on the replication x study rows one stacked fit holds, so Monte Carlo
+# memory stays flat in the replication count.
+_CHUNK_ROWS = 2048
 
+
+def _chunks(reps: int, n: int) -> list[range]:
+    """Consecutive replication ranges of at most _CHUNK_ROWS study rows, at least one each."""
+    step = max(1, _CHUNK_ROWS // n)
+    return [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+
+
+def _rep_fit(
+    y: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Moment and GLS fit of R stacked Monte Carlo replications.
+
+    y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
+    replication. Returns (q, D, G, A = sum G): q (R,) is the quadratic form
+    of the pooled mean about (0, 0), D and G are (R, n, 2, 2), A is (R, 2, 2).
     D is not checked: the clamped estimate plus positive s_i is positive definite.
     """
     sig_hat, _ = _moment_bc_array(y, s)
     d = _d_stack(s, sig_hat)
     g = np.linalg.inv(d)
-    a = g.sum(axis=0)
-    beta = np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
-    return float(beta @ a @ beta), d, g, a
+    a = g.sum(axis=-3)
+    beta = np.linalg.solve(a, np.einsum("riab,rib->ra", g, y)[..., None])
+    q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
+    return q, d, g, a
 
 
-def _rep_h(d: np.ndarray, g: np.ndarray, a: np.ndarray, x: float) -> float:
-    """Threshold adjustment h at x for one replication's stacks from _rep_fit."""
-    return h_adjust(BTerms(*_b_star_kernel(d, g, np.linalg.inv(a))), 2, x)
+def _rep_h(d: np.ndarray, g: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
+    """Threshold adjustment h at x, shape (R,), for the stacks from _rep_fit."""
+    return _h_value(*_b_star_kernel(d, g, np.linalg.inv(a)), 2, x)
+
+
+def _h_value(b1, b2, b3, k: int, x: float):
+    """The h_adjust formula on floats or on arrays of trace terms, unvalidated and silent."""
+    return -(b1 / 4.0 - b2 / 2.0 + 2.0 * b3) / k + x * (b1 / 4.0 + b2 / 2.0) / (k * (k + 2.0))
 
 
 def h_adjust(b: BTerms, k: int = 2, x: float | None = None) -> float:
@@ -147,9 +175,7 @@ def h_adjust(b: BTerms, k: int = 2, x: float | None = None) -> float:
         raise ValueError("dimension k must be a positive integer")
     if x <= 0:
         raise ValueError("threshold x must be positive")
-    h = -(b.b1 / 4.0 - b.b2 / 2.0 + 2.0 * b.b3) / k + x * (b.b1 / 4.0 + b.b2 / 2.0) / (
-        k * (k + 2.0)
-    )
+    h = _h_value(b.b1, b.b2, b.b3, k, x)
     if abs(h) > 1.0:
         warnings.warn(
             f"threshold adjustment h = {h:.4g} exceeds 1 in magnitude; "

@@ -232,6 +232,29 @@ class TestReml:
         assert type(sig.a22) is float
 
 
+class TestDatasetArrays:
+    def test_built_once_and_read_only(self):
+        d = make_dataset(HAND_Y, HAND_S)
+        y, s = d.arrays()
+        assert d.arrays()[0] is y and d.arrays()[1] is s
+        np.testing.assert_array_equal(y, np.array(HAND_Y))
+        np.testing.assert_array_equal(s, np.array(HAND_S))
+        for a in (y, s):
+            with pytest.raises(ValueError):
+                a[0, 0] = 9.0
+        np.testing.assert_array_equal(d.arrays()[0], np.array(HAND_Y))
+
+    def test_empty_dataset_gives_empty_columns(self):
+        y, s = Dataset([]).arrays()
+        assert y.shape == (0, 2) and s.shape == (0, 2)
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        a = make_dataset(HAND_Y, HAND_S)
+        b = make_dataset(HAND_Y, HAND_S)
+        a.arrays()
+        assert a == b and hash(a) == hash(b)
+
+
 class TestISquared:
     def test_equal_variances_at_matching_tau2_give_half(self):
         assert i_squared([0.3, 0.3, 0.3, 0.3], 0.3) == pytest.approx(0.5, abs=1e-15)

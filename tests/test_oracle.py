@@ -21,7 +21,7 @@ from dtameta import (
     rep_stream,
     v_matrix,
 )
-from dtameta import oracle
+from dtameta import regions
 from dtameta.simlab import gen_within_variances
 
 X05 = 5.991464547107982
@@ -296,11 +296,45 @@ class TestMcCoverage:
         def fail(*args):
             raise AssertionError("trace kernel called for the naive region")
 
-        monkeypatch.setattr(oracle, "_rep_h", fail)
+        monkeypatch.setattr(regions, "_b_star_kernel", fail)
         cov, _, _ = mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
         assert 0.0 < cov <= 1.0
+
+    @pytest.mark.parametrize("method", ["ncr", "ccr"])
+    def test_runs_clean_under_warnings_as_errors(self, method):
+        # tau2 = 0 and n = 3: the clamp fires and |h| > 1 on most replications
+        cfg = OracleConfig(
+            n=3, sigma_true=Sym2(0.0, 0.0, 0.0),
+            within_vars=((0.05, 0.3), (0.2, 0.1), (0.4, 0.25)), reps=100, seed=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, median_h = mc_coverage(cfg, method=method)
+        assert median_h > 1.0 if method == "ccr" else median_h == 0.0
 
     def test_ncr_median_h_is_zero(self):
         cfg = homogeneous_config(6, 100, 8)
         _, _, med = mc_coverage(cfg, method="ncr")
         assert med == 0.0
+
+
+class TestChunking:
+    @pytest.mark.parametrize("reps_per_chunk", [1, 7, None])
+    def test_results_independent_of_chunking(self, monkeypatch, reps_per_chunk):
+        moments_cfg = homogeneous_config(5, 1000, 21, sigma=Sym2(0.3, 0.1, 0.2))
+        coverage_cfg = OracleConfig(
+            n=5, sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(5),
+            reps=150, seed=22,
+        )
+
+        def run():
+            return (
+                mc_b_moments(moments_cfg),
+                mc_coverage(coverage_cfg, "ncr"),
+                mc_coverage(coverage_cfg, "ccr"),
+            )
+
+        default = run()
+        if reps_per_chunk is not None:
+            monkeypatch.setattr(regions, "_CHUNK_ROWS", reps_per_chunk * 5)
+        assert run() == default

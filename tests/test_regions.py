@@ -21,6 +21,8 @@ from dtameta import (
     region_boundary,
     region_contains,
 )
+from dtameta.estimators import _d_stack
+from dtameta.regions import _b_star_kernel
 
 X05 = 5.991464547107982  # -2 log 0.05
 
@@ -178,6 +180,26 @@ class TestBStar:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 5),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_kernel_equals_single_calls(self, r, n, seed):
+        # each replication of a stack gets the bits it gets alone
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.01, 1.0, size=(r, n, 2))
+        l = np.tril(rng.uniform(-1.0, 1.0, size=(r, 2, 2)))
+        d = _d_stack(s, l @ np.swapaxes(l, -1, -2))
+        g = np.linalg.inv(d)
+        v = np.linalg.inv(g.sum(axis=1))
+        stacked = _b_star_kernel(d, g, v)
+        for i in range(r):
+            single = _b_star_kernel(d[i : i + 1], g[i : i + 1], v[i : i + 1])
+            for term_stack, term_single in zip(stacked, single):
+                assert term_stack[i] == term_single[0]
 
     def test_nonnegative_square_terms(self):
         rng = np.random.default_rng(103)

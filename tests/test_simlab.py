@@ -7,17 +7,25 @@ import numpy as np
 import pytest
 
 from dtameta import (
+    AdjustmentMagnitudeWarning,
     GridResult,
+    PsdProjectionWarning,
     Scenario,
+    b_star,
+    bias_corrected_sigma,
+    chi2_quantile,
     confidence_region,
     gen_dataset,
     gen_within_variances,
     grid_to_csv,
+    h_adjust,
+    i_squared,
     region_contains,
     rep_stream,
     run_grid,
     write_grid_csv,
 )
+from dtameta import regions
 from dtameta.simlab import GRID_CSV_HEADER
 
 VAR_LO, VAR_HI = 0.009, 0.6
@@ -177,18 +185,57 @@ class TestRunGrid:
             Scenario(tau2=0.4, rho=0.4, n=4, reps=1, seed=1),  # only the corrected one covers
             Scenario(tau2=0.0, rho=0.5, n=5, reps=1, seed=11),  # the same, with tau2 = 0
             Scenario(tau2=0.2, rho=0.4, n=16, reps=1, seed=2),  # neither covers
+            Scenario(tau2=0.0, rho=0.0, n=3, reps=40, seed=5),  # the clamp fires and |h| > 1
+            Scenario(tau2=0.5, rho=-0.3, n=9, reps=25, seed=6),
         ],
     )
     def test_replication_matches_public_fit(self, sc):
+        # the stacked fit of every replication against the public path on the same draws
         res = run_grid([sc])[0]
-        d = gen_dataset(sc, 0)
+        x = chi2_quantile(sc.alpha, 2)
+        hits_ncr = hits_ccr = 0
+        h_values, i2_values = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ncr, _ = confidence_region(d, "ncr", sc.alpha)
-            ccr, fit = confidence_region(d, "ccr", sc.alpha)
-        assert res.coverage_ncr == float(region_contains(ncr, (0.0, 0.0)))
-        assert res.coverage_ccr == float(region_contains(ccr, (0.0, 0.0)))
-        assert res.median_h == pytest.approx(fit.h, rel=1e-12)
+            for r in range(sc.reps):
+                d = gen_dataset(sc, r)
+                ncr, fit = confidence_region(d, "ncr", sc.alpha)
+                hits_ncr += region_contains(ncr, (0.0, 0.0))
+                h = h_adjust(b_star(d, fit.sigma), 2, x)
+                h_values.append(h)
+                ccr, fit = confidence_region(d, "ccr", sc.alpha)
+                assert fit.h == h
+                hits_ccr += region_contains(ccr, (0.0, 0.0))
+                i2_values.append(i_squared(d.arrays()[1][:, 0], sc.tau2))
+        assert res.coverage_ncr == hits_ncr / sc.reps
+        assert res.coverage_ccr == hits_ccr / sc.reps
+        assert res.median_h == pytest.approx(float(np.median(h_values)), rel=1e-12)
+        assert res.mean_i2 == pytest.approx(float(np.mean(i2_values)), rel=1e-12)
+
+    @pytest.mark.parametrize("reps_per_chunk", [1, 7, None])
+    def test_results_independent_of_chunking(self, monkeypatch, reps_per_chunk):
+        scenarios = [
+            Scenario(tau2=0.3, rho=0.2, n=6, reps=40, seed=3),
+            Scenario(tau2=0.0, rho=0.5, n=6, reps=40, seed=4),
+        ]
+        default = run_grid(scenarios)
+        if reps_per_chunk is not None:
+            monkeypatch.setattr(regions, "_CHUNK_ROWS", reps_per_chunk * 6)
+        assert run_grid(scenarios) == default
+
+    def test_runs_clean_under_warnings_as_errors(self):
+        # on these draws the public path warns: the clamp fires and |h| > 1
+        sc = Scenario(tau2=0.0, rho=0.0, n=3, reps=30, seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for r in range(sc.reps):
+                d = gen_dataset(sc, r)
+                h_adjust(b_star(d, bias_corrected_sigma(d)), 2)
+        categories = {w.category for w in caught}
+        assert {PsdProjectionWarning, AdjustmentMagnitudeWarning} <= categories
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_grid([sc])
 
     @pytest.mark.slow
     def test_smoke_grid_invariants(self):
