@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -428,7 +429,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="dtameta",
         description="Bivariate random-effects meta-analysis of diagnostic accuracy "

@@ -12,10 +12,13 @@ shares only the moment estimator and the D-stack with them. mc_coverage
 measures the coverage the corrected region attains rather than checking its
 terms, and runs the same replication fit as simlab (_rep_fit, _rep_h).
 
-Both run in two phases per chunk of replications: a draw loop fills an
-(R, n, 2) stack of y, replication r from its own rep_stream(seed, r), and
-the fit then runs once on the stack. Chunks hold a fixed bound of
-replication x study rows, and chunking never changes a result.
+Both run in two phases per chunk of replications. The draw loop reads
+replication r's rep_stream(seed, r) as one block of 2n standard normals;
+the stream states of the whole chunk are derived at once and set on one
+generator in turn (_stream_states, _normal_blocks, which simlab shares),
+and the block is colored on the whole stack. The fit then runs once on the stack.
+Chunks hold a fixed bound of replication x study rows, and chunking never
+changes a result.
 """
 
 from __future__ import annotations
@@ -84,10 +87,93 @@ def rep_stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _draw_y(rng: np.random.Generator, chol: np.ndarray) -> np.ndarray:
-    """One dataset: two standard normals per study, colored by each D_i's Cholesky factor."""
-    z = rng.standard_normal(chol.shape[:1] + (2,))
-    return np.einsum("iab,ib->ia", chol, z)
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier (O'Neill 2014, "PCG", HMC-CS-2014-0905)
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SHIFT = np.uint32(16)
+
+
+def _hash_consts(start: int, mult: int, done: int, count: int) -> np.ndarray:
+    """The count + 1 values a hash constant takes from its value after done hashes on."""
+    seq = [start * pow(mult, done, 1 << 32) & _M32]
+    for _ in range(count):
+        seq.append(seq[-1] * mult & _M32)
+    return np.array(seq, dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes the four pool words twice over into 8 words
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+_STATE_XOR = _STATE_CONSTS[:-1].reshape(2, 4)
+_STATE_MUL = _STATE_CONSTS[1:].reshape(2, 4)
+
+
+def _n_words(value: int) -> int:
+    """Number of 32-bit words SeedSequence splits a nonnegative integer into."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _stream_states(seed: int, reps: range) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of rep_stream(seed, r) for each r in reps (all below 2**64).
+
+    Replays the seeding without building a SeedSequence per replication. The
+    pool of SeedSequence(seed) already holds every step that reads only the
+    run entropy (entropy shorter than the pool hashes as zero words, with or
+    without a spawn key). Spawn key r adds its 32-bit words last, each hashed
+    and mixed into all four pool words, the hash constant advancing once per
+    hash from where the run entropy left it. generate_state(4, uint64) then
+    hashes the pool into a 128-bit seed and increment, and PCG64 seeds with
+    two LCG steps.
+    """
+    run = np.random.SeedSequence(seed)
+    if not reps:
+        return []
+    r = np.arange(reps.start, reps.stop, dtype=np.uint64)
+    pool = run.pool
+    # the run entropy took 4 hashes to fill the pool, 12 to cross-mix it and 4 per word past 4
+    done = 16 + 4 * max(0, _n_words(run.entropy) - 4)
+    for k in range(_n_words(reps.stop - 1)):
+        consts = _hash_consts(_INIT_A, _MULT_A, done + 4 * k, 4)
+        word = (r >> np.uint64(32 * k)).astype(np.uint32)[:, None]
+        v = (word ^ consts[:-1]) * consts[1:]
+        v ^= v >> _SHIFT
+        mixed = pool * _MIX_MULT_L - v * _MIX_MULT_R
+        mixed ^= mixed >> _SHIFT
+        pool = mixed if k == 0 else np.where(r[:, None] >> np.uint64(32 * k) > 0, mixed, pool)
+    words = (pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL
+    words ^= words >> _SHIFT
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words.reshape(-1, 8).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _normal_blocks(seed: int, reps: range, width: int) -> np.ndarray:
+    """(R, width) stack whose row j is the first width normals of rep_stream(seed, reps[j]).
+
+    One PCG64 and Generator pair, this call's own, is set to each
+    replication's stream state in turn, so a row costs one draw call.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    z = np.empty((len(reps), width))
+    for row, (state, inc) in zip(z, _stream_states(seed, reps)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=row)
+    return z
 
 
 def _v_of(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -96,11 +182,14 @@ def _v_of(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
-    """The (R, n, 2) stack of y for replications reps, each from its own stream."""
-    y = np.empty((len(reps), cfg.n, 2))
-    for j, r in enumerate(reps):
-        y[j] = _draw_y(rep_stream(cfg.seed, r), chol)
-    return y
+    """The (R, n, 2) stack of y for replications reps, each from its own stream.
+
+    A dataset is two standard normals per study, colored by each D_i's
+    Cholesky factor; the normals are one block per stream, colored on the
+    whole stack.
+    """
+    z = _normal_blocks(cfg.seed, reps, 2 * cfg.n).reshape(len(reps), cfg.n, 2)
+    return np.einsum("iab,rib->ria", chol, z)
 
 
 def mc_b_moments(
@@ -111,10 +200,11 @@ def mc_b_moments(
     Each replication simulates y_i ~ N2(0, sigma_true + S_i) (the mean is
     irrelevant by translation invariance), re-estimates the between-study
     covariance with the bias-corrected moment estimator, and evaluates the
-    three traces of K. The draws come from per-replication streams and the
-    traces are computed on chunked replication stacks, each replication as
-    it would be alone, so a given config reproduces bit-identically however
-    it is chunked.
+    three traces of K. Each replication's draws are one block of normals
+    from its own stream, rep_stream(seed, r), with the stream states of a
+    chunk derived together; the traces are computed on chunked replication
+    stacks, each replication as it would be alone, so a given config
+    reproduces bit-identically however it is chunked.
 
     sigma_hat_override pins the re-estimated covariance to a constant; with
     the truth itself K is identically zero. It exists for validation only and

@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimators import _i2_array
 from .model import Dataset, Study
-from .oracle import rep_stream
+from .oracle import _normal_blocks, rep_stream
 from .regions import _chunks, _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
@@ -41,6 +41,12 @@ GRID_CSV_HEADER = "tau2,rho,n,reps,alpha,coverage_ncr,coverage_ccr,median_h,mean
 _VAR_LO = 0.009
 _VAR_HI = 0.6
 _MAX_REJECTION_BATCHES = 10_000
+# A replication reads one batch of n normals per rejection round of each
+# variance column, then 2n for mu and 2n for the noise. A candidate is kept
+# with probability 2 (Phi(sqrt 2.4) - Phi(sqrt 0.036)) = 0.728, so a column
+# mostly fills in two rounds, and a block of 10 batches covers all but a few
+# replications in ten thousand; those are drawn again by _draw.
+_BLOCK_BATCHES = 10
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ def gen_within_variances(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n pairs of within-study variances, shape (n, 2).
 
     Each variance is 0.25 * Z^2 for standard normal Z, redrawn until it lands
-    in [0.009, 0.6] (rejection, acceptance probability about 0.81; no point
+    in [0.009, 0.6] (rejection, acceptance probability 0.728; no point
     mass at the interval ends). Column order is fixed: the first column is
     filled completely before the second, with candidates generated n at a
     time and surplus accepted values of the final batch discarded, so draws
@@ -144,6 +150,46 @@ def gen_dataset(s: Scenario, rep: int) -> Dataset:
     return Dataset(studies)
 
 
+def _draw_block(sc: Scenario, reps: range, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, s) stacks, each (R, n, 2), of replications reps: row j is _draw(sc, reps[j], chol).
+
+    numpy draws normals sequentially, so one call for _BLOCK_BATCHES * n of
+    them holds every value _draw reads, in the same order. The rejection
+    bookkeeping then runs on the whole stack: cumulative accepted counts at
+    each batch end give the batch that fills each variance column, masks
+    gather the accepted variances, and mu and the noise are the 4n normals
+    that follow. Rows whose block runs short are drawn by _draw.
+    """
+    n, width = sc.n, _BLOCK_BATCHES * sc.n
+    z = _normal_blocks(sc.seed, reps, width)
+    cand = 0.25 * z**2
+    ok = (cand >= _VAR_LO) & (cand <= _VAR_HI)
+    seen = np.cumsum(ok, axis=1)
+    # accepted counts at each batch end; column 0 fills at batch last0, column 1 at last1
+    at_end = seen[:, n - 1 :: n]
+    last0 = np.argmax(at_end >= n, axis=1)[:, None]
+    seen0 = np.take_along_axis(at_end, last0, axis=1)
+    filled1 = at_end - seen0 >= n
+    last1 = np.argmax(filled1, axis=1)[:, None]
+    # short: a column never fills, or mu and the noise run past the block
+    short = (seen0[:, 0] < n) | ~filled1.any(axis=1) | (last1[:, 0] + 5 > _BLOCK_BATCHES)
+    # a basic slice keeps the common all-rows case free of copies
+    good = np.flatnonzero(~short) if short.any() else slice(None)
+    cand, ok, seen, seen0 = cand[good], ok[good], seen[good], seen0[good]
+    col1 = np.arange(width) >= n * (last0[good] + 1)
+    s = np.empty((len(reps), n, 2))
+    s[good, :, 0] = cand[ok & (seen <= n)].reshape(-1, n)
+    s[good, :, 1] = cand[ok & col1 & (seen - seen0 <= n)].reshape(-1, n)
+    first = n * (last1 + 1) + width * np.arange(len(reps))[:, None]
+    tail = z.ravel()[first[good] + np.arange(4 * n)]
+    y = np.empty_like(s)
+    y[good] = tail[:, : 2 * n].reshape(-1, n, 2) @ chol.T
+    y[good] += np.sqrt(s[good]) * tail[:, 2 * n :].reshape(-1, n, 2)
+    for j in np.flatnonzero(short):
+        y[j], s[j] = _draw(sc, reps[j], chol)
+    return y, s
+
+
 def _run_scenario(sc: Scenario) -> GridResult:
     x = chi2_quantile(sc.alpha, 2)
     chol = _sigma_chol(sc.tau2, sc.rho)
@@ -151,10 +197,7 @@ def _run_scenario(sc: Scenario) -> GridResult:
     h = np.empty(sc.reps)
     i2 = np.empty(sc.reps)
     for reps in _chunks(sc.reps, sc.n):
-        y = np.empty((len(reps), sc.n, 2))
-        s = np.empty_like(y)
-        for j, r in enumerate(reps):
-            y[j], s[j] = _draw(sc, r, chol)
+        y, s = _draw_block(sc, reps, chol)
         rows = slice(reps.start, reps.stop)
         q[rows], d, g, a = _rep_fit(y, s)
         h[rows] = _rep_h(d, g, a, x)
@@ -174,13 +217,16 @@ def _run_scenario(sc: Scenario) -> GridResult:
 def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     """Run every scenario and return results in input order.
 
-    Each scenario runs in two phases per chunk of replications. A draw loop
-    fills (R, n, 2) stacks of y and s, replication r from its own
-    (seed, r) stream; the moment fit, GLS, trace terms and h then run once
-    on the stacked arrays. A chunk holds a fixed bound of replication x study
-    rows, so memory does not grow with reps, and no replication's numbers
-    depend on the chunk it lands in: results are independent of chunking
-    and of scenario order, and reproduce exactly for a fixed grid. The
+    Each scenario runs in two phases per chunk of replications. The draw
+    reads replication r's own (seed, r) stream as one block of standard
+    normals; the streams of a chunk are derived together and set in turn on
+    one generator. The rejection-sampled variances, mu and the noise are
+    read off the stacked blocks in stream order, and the moment fit, GLS,
+    trace terms and h then run once on the (R, n, 2) stacks of y and s. A
+    chunk holds a fixed bound of replication x study rows, so memory does
+    not grow with reps, and no replication's numbers depend on the chunk it
+    lands in: results are independent of chunking and of scenario order,
+    and reproduce exactly for a fixed grid. The
     heterogeneity fraction is computed for each replication from its drawn
     sensitivity-arm variances and the scenario's true tau2, then averaged.
     The reported Monte Carlo standard error is the binomial SE of the

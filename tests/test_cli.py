@@ -422,6 +422,38 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    def test_reused_parser_gives_fresh_parser_outputs(self, capsys, summary_table):
+        calls = [
+            SIM_ARGS,
+            ["validate", "--preset", "degenerate", "--reps", "1000"],
+            ["simulate", "--tau2", "a,b", "--rho", "0", "--n", "4"],
+            ["region", "--input", summary_table, "--points", "8"],
+            ["--help"],
+            ["fit", "--help"],
+            ["validate", "--preset", "none"],
+            [],
+            SIM_ARGS,
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        parser = cli._build_parser()
+        assert [run(argv) for argv in calls] == fresh
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 2, 0]
+
+
 OUTPUT_ARGS = {
     "fit --json": lambda table, out: ["fit", "--input", table, "--json", out],
     "fit --svg": lambda table, out: ["fit", "--input", table, "--svg", out],

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtameta import (
     BTerms,
@@ -21,7 +22,8 @@ from dtameta import (
     rep_stream,
     v_matrix,
 )
-from dtameta import regions
+from dtameta import oracle, regions
+from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
 
 X05 = 5.991464547107982
@@ -83,6 +85,51 @@ class TestRepStream:
         a = rep_stream(1, 0).standard_normal(5)
         b = rep_stream(2, 0).standard_normal(5)
         assert not np.array_equal(a, b)
+
+
+def states_of(seed, reps):
+    return [rep_stream(seed, r).bit_generator.state for r in reps]
+
+
+def bulk_states_of(seed, reps):
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
+        for s, i in oracle._stream_states(seed, reps)
+    ]
+
+
+class TestBulkStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**192 - 1),
+        start=st.integers(0, 2**40 - 6),
+        count=st.integers(0, 5),
+    )
+    def test_states_match_rep_stream(self, seed, start, count):
+        reps = range(start, start + count)
+        assert bulk_states_of(seed, reps) == states_of(seed, reps)
+
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**96 - 1, 2**128 - 1, 2**128, 2**160 + 3, 2**191]
+    )
+    @pytest.mark.parametrize(
+        "reps", [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**40 - 1, 2**40)]
+    )
+    def test_states_at_word_boundaries(self, seed, reps):
+        # run entropy of 1 to 6 words, spawn keys of 1 and 2 words, and a chunk spanning both
+        assert bulk_states_of(seed, reps) == states_of(seed, reps)
+
+    def test_negative_seed_raises_like_rep_stream(self):
+        with pytest.raises(ValueError) as expected:
+            rep_stream(-1, 0)
+        with pytest.raises(ValueError) as got:
+            oracle._stream_states(-1, range(4))
+        assert str(got.value) == str(expected.value)
+
+    def test_normal_blocks_are_rep_stream_draws(self):
+        z = oracle._normal_blocks(11, range(5, 9), 7)
+        for row, r in zip(z, range(5, 9)):
+            assert row.tobytes() == rep_stream(11, r).standard_normal(7).tobytes()
 
 
 class TestMcBMoments:
@@ -338,3 +385,51 @@ class TestChunking:
         if reps_per_chunk is not None:
             monkeypatch.setattr(regions, "_CHUNK_ROWS", reps_per_chunk * 5)
         assert run() == default
+
+
+def draw_stack_per_rep(cfg, reps, chol):
+    """The y stack drawn one rep_stream at a time and colored per replication."""
+    y = np.empty((len(reps), cfg.n, 2))
+    for j, r in enumerate(reps):
+        z = rep_stream(cfg.seed, r).standard_normal((cfg.n, 2))
+        y[j] = np.einsum("iab,ib->ia", chol, z)
+    return y
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    @pytest.mark.parametrize("sigma", [Sym2(0.4, 0.08, 0.4), Sym2(0.0, 0.0, 0.0)])
+    def test_draw_stack_matches_per_rep_draws(self, n, sigma):
+        cfg = OracleConfig(
+            n=n, sigma_true=sigma, within_vars=frozen_heterogeneous_design(n), reps=1000, seed=31
+        )
+        chol = np.linalg.cholesky(_d_stack(cfg.s_array(), sigma.as_array()))
+        reps = range(40, 140)
+        expected = draw_stack_per_rep(cfg, reps, chol)
+        assert oracle._draw_stack(cfg, reps, chol).tobytes() == expected.tobytes()
+
+    def test_results_match_per_rep_draws(self, monkeypatch):
+        moments_cfg = homogeneous_config(5, 1000, 21, sigma=Sym2(0.3, 0.1, 0.2))
+        coverage_cfg = OracleConfig(
+            n=7, sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(7),
+            reps=300, seed=22,
+        )
+
+        def run():
+            return (
+                mc_b_moments(moments_cfg),
+                mc_coverage(coverage_cfg, "ncr"),
+                mc_coverage(coverage_cfg, "ccr"),
+            )
+
+        default = run()
+        monkeypatch.setattr(oracle, "_draw_stack", draw_stack_per_rep)
+        assert run() == default
+
+    def test_builds_no_stream_per_replication(self, stream_builds):
+        cfg = homogeneous_config(4, 1000, 23, sigma=Sym2(0.3, 0.1, 0.2))
+        mc_coverage(cfg, "ccr")
+        mc_b_moments(cfg)
+        # one SeedSequence and one PCG64 per chunk of each call
+        chunks = len(regions._chunks(cfg.reps, cfg.n))
+        assert stream_builds == {"SeedSequence": 2 * chunks, "PCG64": 2 * chunks, "default_rng": 0}

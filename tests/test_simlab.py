@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtameta import (
     AdjustmentMagnitudeWarning,
@@ -25,7 +26,7 @@ from dtameta import (
     run_grid,
     write_grid_csv,
 )
-from dtameta import regions
+from dtameta import regions, simlab
 from dtameta.simlab import GRID_CSV_HEADER
 
 VAR_LO, VAR_HI = 0.009, 0.6
@@ -127,6 +128,14 @@ class TestGenWithinVariances:
         with pytest.raises(ValueError):
             gen_within_variances(0, rep_stream(1, 0))
 
+    def test_documented_acceptance_probability(self):
+        # P(0.009 <= Z^2 / 4 <= 0.6) = 2 (Phi(sqrt 2.4) - Phi(sqrt 0.036))
+        accept = chi2_cdf_1(4.0 * VAR_HI) - chi2_cdf_1(4.0 * VAR_LO)
+        assert accept == pytest.approx(0.728, abs=5e-4)
+        sv = 0.25 * rep_stream(5, 0).standard_normal(200_000) ** 2
+        rate = np.mean((sv >= VAR_LO) & (sv <= VAR_HI))
+        assert abs(rate - accept) <= 4.0 * math.sqrt(accept * (1.0 - accept) / sv.size)
+
 
 class TestGenDataset:
     def test_deterministic_in_seed_and_rep(self):
@@ -165,6 +174,68 @@ class TestGenDataset:
         corr = float(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
         expected = 0.64 / (0.8 + truncated_variance_mean())
         assert corr == pytest.approx(expected, abs=0.01)
+
+
+def draw_per_rep(sc, reps, chol):
+    """The replication stacks drawn one rep_stream at a time, as _draw does."""
+    pairs = [simlab._draw(sc, r, chol) for r in reps]
+    return np.stack([y for y, _ in pairs]), np.stack([s for _, s in pairs])
+
+
+# the fewest batches a block can hold: one per variance column, then 2n for
+# mu and 2n for the noise; at this size almost every row takes the _draw path
+MIN_BLOCK_BATCHES = 6
+
+
+class TestBlockDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        tau2=st.sampled_from([0.0, 0.05, 0.4]),
+        rho=st.floats(-0.95, 0.95),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**33),
+    )
+    def test_matches_draw_bit_for_bit(self, n, tau2, rho, seed, start):
+        sc = Scenario(tau2=tau2, rho=rho, n=n, reps=1, seed=seed)
+        chol = simlab._sigma_chol(tau2, rho)
+        reps = range(start, start + 9)
+        y, s = simlab._draw_block(sc, reps, chol)
+        y_ref, s_ref = draw_per_rep(sc, reps, chol)
+        assert y.tobytes() == y_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_short_rows_match_draw(self, monkeypatch, n):
+        monkeypatch.setattr(simlab, "_BLOCK_BATCHES", MIN_BLOCK_BATCHES)
+        sc = Scenario(tau2=0.4, rho=0.4, n=n, reps=1, seed=3)
+        chol = simlab._sigma_chol(0.4, 0.4)
+        y, s = simlab._draw_block(sc, range(200), chol)
+        y_ref, s_ref = draw_per_rep(sc, range(200), chol)
+        assert y.tobytes() == y_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
+
+    def test_grid_unchanged_by_block_size_and_per_rep_draws(self, monkeypatch):
+        scenarios = [
+            Scenario(tau2=0.4, rho=0.4, n=3, reps=300, seed=3),
+            Scenario(tau2=0.0, rho=0.5, n=8, reps=300, seed=4),
+            Scenario(tau2=0.2, rho=-0.3, n=16, reps=150, seed=5),
+        ]
+        default = run_grid(scenarios)
+        monkeypatch.setattr(simlab, "_BLOCK_BATCHES", MIN_BLOCK_BATCHES)
+        assert run_grid(scenarios) == default
+        monkeypatch.setattr(simlab, "_draw_block", draw_per_rep)
+        assert run_grid(scenarios) == default
+
+
+def test_run_grid_builds_no_stream_per_replication(stream_builds):
+    sc = Scenario(tau2=0.4, rho=0.4, n=8, reps=600, seed=9)
+    run_grid([sc])
+    # one SeedSequence and one PCG64 per chunk, plus rep_stream for the rare short row
+    chunks = len(regions._chunks(sc.reps, sc.n))
+    assert stream_builds["SeedSequence"] <= chunks + 2
+    assert stream_builds["PCG64"] <= chunks
+    assert stream_builds["default_rng"] <= 2
 
 
 class TestRunGrid:
