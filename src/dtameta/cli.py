@@ -166,17 +166,21 @@ def _safe_sroc(fit: FitResult, warn_sink: list[str]) -> list[list[float]]:
     return [[t, sens] for t, sens in pts]
 
 
-def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
-    """Compute the full report; returns (json_dict, plot_ingredients)."""
-    collected: list[str] = []
+def _captured(fn, *args):
+    """fn(*args) and the messages of every warning it raised, in order, none filtered out."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ccr, moment_fit = confidence_region(d, "ccr", alpha, "moment_bc")
-        reml_fit = None
-        ncr_reml = None
-        if estimator in ("reml", "both"):
-            ncr_reml, reml_fit = confidence_region(d, "ncr", alpha, "reml")
-    messages = [str(w.message) for w in caught]
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
+    """Compute the full report; returns (json_dict, plot_ingredients)."""
+    (ccr, moment_fit), messages = _captured(confidence_region, d, "ccr", alpha, "moment_bc")
+    reml_fit = ncr_reml = None
+    if estimator in ("reml", "both"):
+        (ncr_reml, reml_fit), more = _captured(confidence_region, d, "ncr", alpha, "reml")
+        messages += more
     ncr_moment = ConfidenceRegion(
         ccr.center, ccr.shape, chi2_quantile(alpha, 2), h=0.0, alpha=alpha, method="ncr"
     )
@@ -305,9 +309,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     if d.n < 3:
         sys.stderr.write(f"need at least 3 studies to fit, got {d.n}\n")
         return EXIT_TOO_FEW
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        region, _ = confidence_region(d, args.method, args.alpha, "moment_bc")
+    (region, _), messages = _captured(confidence_region, d, args.method, args.alpha, "moment_bc")
+    sys.stderr.writelines(f"warning: {m}\n" for m in dict.fromkeys(messages))
     pts = region_boundary(region, args.points)
     if args.space == "roc":
         header = "fpr,sensitivity"

@@ -45,14 +45,34 @@ def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return d
 
 
-def _precisions(s: np.ndarray, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated stacks (D, G = D^{-1}, A = sum_i G_i) at a candidate Sigma."""
-    d = _d_stack(s, sigma.as_array())
-    det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    if np.any(det <= 0) or np.any(d[:, 0, 0] <= 0):
-        raise ValueError("singular or indefinite marginal covariance D_i")
+def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unchecked GLS stacks (D, G = D^{-1}, A = sum_i G_i, V = A^{-1}) at Sigma.
+
+    The one place D_i is inverted; sigma and s are as for _d_stack.
+    """
+    d = _d_stack(s, sigma)
     g = np.linalg.inv(d)
-    return d, g, g.sum(axis=0)
+    a = g.sum(axis=-3)
+    return d, g, a, np.linalg.inv(a)
+
+
+def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """GLS pooled mean A^{-1} sum_i G_i y_i of each (..., n, 2) stack of y, shape (..., 2)."""
+    return np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y)[..., None])[..., 0]
+
+
+def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sym2]:
+    """(D, G, A, V) of one dataset; each D_i is checked from Sigma and s before inversion."""
+    _, s = d.arrays()
+    if d.n == 0:
+        raise DataError("empty dataset")
+    d11 = sigma.a11 + s[:, 0]
+    if (d11 <= 0).any() or (d11 * (sigma.a22 + s[:, 1]) - sigma.a12 * sigma.a12 <= 0).any():
+        raise ValueError("singular or indefinite marginal covariance D_i")
+    dmats, g, a, v = _precisions(s, sigma.as_array())
+    if a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] <= 0 or a[0, 0] <= 0:
+        raise ValueError("accumulated precision is singular")
+    return dmats, g, a, Sym2.from_array(v)
 
 
 def ols_beta(d: Dataset) -> np.ndarray:
@@ -65,28 +85,13 @@ def ols_beta(d: Dataset) -> np.ndarray:
 
 def gls_beta(d: Dataset, sigma: Sym2) -> np.ndarray:
     """Precision-weighted pooled mean with weights (Sigma + S_i)^{-1}."""
-    y, s = d.arrays()
-    if d.n == 0:
-        raise DataError("empty dataset")
-    _, g, a = _precisions(s, sigma)
-    return np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
+    _, g, a, _ = _checked_precisions(d, sigma)
+    return _gls_mean(g, a, d.arrays()[0])
 
 
 def v_matrix(d: Dataset, sigma: Sym2) -> Sym2:
     """Covariance of the GLS pooled mean: the inverse of the summed precisions."""
-    _, s = d.arrays()
-    if d.n == 0:
-        raise DataError("empty dataset")
-    _, _, a = _precisions(s, sigma)
-    return _inverse_precision(a)
-
-
-def _inverse_precision(a: np.ndarray) -> Sym2:
-    """V = A^{-1} for accumulated precisions A = sum_i G_i, rejecting a singular A."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det <= 0 or a[0, 0] <= 0:
-        raise ValueError("accumulated precision is singular")
-    return Sym2.from_array(np.linalg.inv(a))
+    return _checked_precisions(d, sigma)[3]
 
 
 def moment_sigma0(d: Dataset) -> Sym2:
@@ -98,12 +103,16 @@ def moment_sigma0(d: Dataset) -> Sym2:
     """
     if d.n < 2:
         raise DataError("moment estimator needs at least 2 studies")
-    y, s = d.arrays()
-    r = y - y.mean(axis=0)
-    m = np.einsum("ia,ib->ab", r, r) / d.n
-    m[0, 0] -= s[:, 0].mean()
-    m[1, 1] -= s[:, 1].mean()
-    return Sym2.from_array(m)
+    return Sym2.from_array(_moment_raw(*d.arrays()))
+
+
+def _moment_raw(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Residual second moment about the mean minus the mean within-study variance, (..., 2, 2)."""
+    r = y - y.mean(axis=-2, keepdims=True)
+    m = np.einsum("...ia,...ib->...ab", r, r) / y.shape[-2]
+    m[..., 0, 0] -= s[..., 0].mean(axis=-1)
+    m[..., 1, 1] -= s[..., 1].mean(axis=-1)
+    return m
 
 
 def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,10 +142,7 @@ def _moment_bc_array(
     which call it on replication stacks and emit no warnings.
     """
     n = y.shape[-2]
-    r = y - y.mean(axis=-2, keepdims=True)
-    s0 = np.einsum("...ia,...ib->...ab", r, r) / n
-    s0[..., 0, 0] -= s[..., 0].mean(axis=-1)
-    s0[..., 1, 1] -= s[..., 1].mean(axis=-1)
+    s0 = _moment_raw(y, s)
     c = n * s0
     col = s.sum(axis=-2)
     c[..., 0, 0] += col[..., 0]
@@ -179,17 +185,15 @@ def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     if not (math.isfinite(l11) and math.isfinite(l22)):
         return math.inf
     sig = np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
-    d = _d_stack(s, sig)
+    try:
+        d, g, a, _ = _precisions(s, sig)
+    except np.linalg.LinAlgError:
+        return math.inf
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
-    if np.any(det <= 0):
-        return math.inf
-    g = np.linalg.inv(d)
-    a = g.sum(axis=0)
     det_a = a[0, 0] * a[1, 1] - a[0, 1] ** 2
-    if det_a <= 0:
+    if (det <= 0).any() or det_a <= 0:
         return math.inf
-    beta = np.linalg.solve(a, np.einsum("iab,ib->a", g, y))
-    r = y - beta
+    r = y - _gls_mean(g, a, y)
     quad = float(np.einsum("ia,iab,ib->", r, g, r))
     return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
 

@@ -8,9 +8,10 @@ of the random matrix K = {V(Sigma_hat) - V(Sigma)} V(Sigma)^{-1}:
 This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
-shares only the moment estimator and the D-stack with them. mc_coverage
-measures the coverage the corrected region attains rather than checking its
-terms, and runs the same replication fit as simlab (_rep_fit, _rep_h).
+shares only the moment estimator and the precision kernel that gives V
+(_precisions) with them. mc_coverage measures the coverage the corrected
+region attains rather than checking its terms, and runs the same
+replication fit as simlab (_rep_fit, _rep_h).
 
 Both run in two phases per chunk of replications. The draw loop reads
 replication r's rep_stream(seed, r) as one block of 2n standard normals;
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _d_stack, _moment_bc_array
+from .estimators import _d_stack, _moment_bc_array, _precisions
 from .model import BTerms, DataError, Sym2
 from .regions import _chunks, _rep_fit, _rep_h, chi2_quantile
 
@@ -176,11 +177,6 @@ def _normal_blocks(seed: int, reps: range, width: int) -> np.ndarray:
     return z
 
 
-def _v_of(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """V(Sigma) = (sum_i (Sigma + S_i)^{-1})^{-1} for a (..., 2, 2) stack of Sigma."""
-    return np.linalg.inv(np.linalg.inv(_d_stack(s, sigma)).sum(axis=-3))
-
-
 def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
     """The (R, n, 2) stack of y for replications reps, each from its own stream.
 
@@ -213,21 +209,20 @@ def mc_b_moments(
     if cfg.reps < 1000:
         raise ValueError("B-moment estimation needs at least 1000 replications")
     s = cfg.s_array()
-    sig_true = cfg.sigma_true.as_array()
-    v_true = _v_of(sig_true, s)
+    d_true, _, _, v_true = _precisions(s, cfg.sigma_true.as_array())
     v_true_inv = np.linalg.inv(v_true)
 
     if sigma_hat_override is not None:
-        k = (_v_of(sigma_hat_override.as_array(), s) - v_true) @ v_true_inv
+        k = (_precisions(s, sigma_hat_override.as_array())[3] - v_true) @ v_true_inv
         tr_k = float(np.trace(k))
         tr_k2 = float(np.einsum("ab,ba->", k, k))
         return BTerms(tr_k * tr_k, tr_k2, tr_k), (0.0, 0.0, 0.0)
 
-    chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
+    chol = np.linalg.cholesky(d_true)
     stats = np.empty((cfg.reps, 3))
     for reps in _chunks(cfg.reps, cfg.n):
         sig_hat, _ = _moment_bc_array(_draw_stack(cfg, reps, chol), s)
-        k = (_v_of(sig_hat, s) - v_true) @ v_true_inv
+        k = (_precisions(s, sig_hat)[3] - v_true) @ v_true_inv
         tr_k = k[:, 0, 0] + k[:, 1, 1]
         rows = slice(reps.start, reps.stop)
         stats[rows, 0] = tr_k * tr_k
@@ -293,9 +288,9 @@ def mc_coverage(
     h = np.zeros(cfg.reps)
     for reps in _chunks(cfg.reps, cfg.n):
         rows = slice(reps.start, reps.stop)
-        q[rows], d, g, a = _rep_fit(_draw_stack(cfg, reps, chol), s)
+        q[rows], d, g, v = _rep_fit(_draw_stack(cfg, reps, chol), s)
         if method == "ccr":
-            h[rows] = _rep_h(d, g, a, x)
+            h[rows] = _rep_h(d, g, v, x)
     hits = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h)))
     coverage = hits / cfg.reps
     se = math.sqrt(coverage * (1.0 - coverage) / cfg.reps)

@@ -6,6 +6,9 @@ quantile. That understates the noise in the covariance estimate, so the
 corrected region inflates the threshold by a factor 1 + h built from three
 trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
+
+Public calls (once per confidence_region) and Monte Carlo replications
+(_rep_fit, _rep_h) take D, G and V from one precision kernel in estimators.
 """
 
 from __future__ import annotations
@@ -16,20 +19,17 @@ import warnings
 import numpy as np
 
 from .estimators import (
-    _d_stack,
-    _inverse_precision,
+    _checked_precisions,
+    _gls_mean,
     _moment_bc_array,
     _precisions,
     bias_corrected_sigma,
-    gls_beta,
     reml_sigma,
-    v_matrix,
 )
 from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
     ConfidenceRegion,
-    DataError,
     Dataset,
     FitResult,
     RegionUndefinedError,
@@ -82,12 +82,13 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
     them is the only O(n) work. Every trace is then a contraction of V with
     2^4- and 2^6-entry tensors, so time is linear in n and memory constant.
     """
-    _, s = d.arrays()
-    if d.n == 0:
-        raise DataError("empty dataset")
-    dmats, g, a = _precisions(s, sigma)
-    v = _inverse_precision(a).as_array()
-    b1, b2, b3 = _b_star_kernel(dmats[None], g[None], v[None])
+    dmats, g, _, v = _checked_precisions(d, sigma)
+    return _b_terms(dmats, g, v)
+
+
+def _b_terms(dmats: np.ndarray, g: np.ndarray, v: Sym2) -> BTerms:
+    """b_star of one dataset from its checked D, G and V."""
+    b1, b2, b3 = _b_star_kernel(dmats[None], g[None], v.as_array()[None])
     return BTerms(float(b1[0]), float(b2[0]), float(b3[0]))
 
 
@@ -138,22 +139,21 @@ def _rep_fit(
     """Moment and GLS fit of R stacked Monte Carlo replications.
 
     y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
-    replication. Returns (q, D, G, A = sum G): q (R,) is the quadratic form
-    of the pooled mean about (0, 0), D and G are (R, n, 2, 2), A is (R, 2, 2).
-    D is not checked: the clamped estimate plus positive s_i is positive definite.
+    replication. Returns (q, D, G, V) from the same precision kernel as the
+    public fit: q (R,) is the quadratic form of the pooled mean about (0, 0),
+    D and G are (R, n, 2, 2), V is (R, 2, 2). Nothing is checked: the clamped
+    estimate plus positive s_i is positive definite.
     """
     sig_hat, _ = _moment_bc_array(y, s)
-    d = _d_stack(s, sig_hat)
-    g = np.linalg.inv(d)
-    a = g.sum(axis=-3)
-    beta = np.linalg.solve(a, np.einsum("riab,rib->ra", g, y)[..., None])
+    d, g, a, v = _precisions(s, sig_hat)
+    beta = _gls_mean(g, a, y)[..., None]
     q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
-    return q, d, g, a
+    return q, d, g, v
 
 
-def _rep_h(d: np.ndarray, g: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
-    """Threshold adjustment h at x, shape (R,), for the stacks from _rep_fit."""
-    return _h_value(*_b_star_kernel(d, g, np.linalg.inv(a)), 2, x)
+def _rep_h(d: np.ndarray, g: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
+    """Threshold adjustment h at x, shape (R,), for the (D, G, V) stacks from _rep_fit."""
+    return _h_value(*_b_star_kernel(d, g, v), 2, x)
 
 
 def _h_value(b1, b2, b3, k: int, x: float):
@@ -214,28 +214,24 @@ def confidence_region(
         )
 
     sigma = reml_sigma(d) if estimator == "reml" else bias_corrected_sigma(d)
-    beta = gls_beta(d, sigma)
-    v = v_matrix(d, sigma)
+    dmats, g, a, v = _checked_precisions(d, sigma)
+    beta = _gls_mean(g, a, d.arrays()[0])
     x = chi2_quantile(alpha, 2)
 
-    if method == "ncr":
-        b = None
-        h = 0.0
-        threshold = x
-    else:
-        b = b_star(d, sigma)
+    b, h = None, 0.0
+    if method == "ccr":
+        b = _b_terms(dmats, g, v)
         h = h_adjust(b, 2, x)
         if 1.0 + h <= 0.0:
             raise RegionUndefinedError(
                 f"corrected threshold factor 1 + h = {1.0 + h:.4g} is not positive"
             )
-        threshold = x * (1.0 + h)
 
     region = ConfidenceRegion(
         center=(float(beta[0]), float(beta[1])),
         shape=v,
-        threshold=threshold,
-        h=h if method == "ccr" else 0.0,
+        threshold=x * (1.0 + h),
+        h=h,
         alpha=alpha,
         method=method,
     )

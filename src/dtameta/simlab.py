@@ -199,8 +199,8 @@ def _run_scenario(sc: Scenario) -> GridResult:
     for reps in _chunks(sc.reps, sc.n):
         y, s = _draw_block(sc, reps, chol)
         rows = slice(reps.start, reps.stop)
-        q[rows], d, g, a = _rep_fit(y, s)
-        h[rows] = _rep_h(d, g, a, x)
+        q[rows], d, g, v = _rep_fit(y, s)
+        h[rows] = _rep_h(d, g, v, x)
         i2[rows] = _i2_array(s[..., 0], sc.tau2)
     coverage_ncr = np.count_nonzero(q <= x) / sc.reps
     coverage_ccr = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / sc.reps

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from dtameta import (
     Sym2,
     chi2_quantile,
     confidence_region,
+    region_boundary,
     summarize_counts,
     to_roc_space,
 )
@@ -337,6 +339,27 @@ class TestRegionCommand:
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith("y_sens,y_spec\n")
 
+    def test_warnings_go_to_stderr_once(self, capsys, tmp_path):
+        # four nearly equal studies with wide variances: the moment estimate
+        # is indefinite and the fit clamps it
+        path = tmp_path / "clamped.csv"
+        rows = [(0.10, 0.20), (0.12, 0.18), (0.09, 0.21), (0.11, 0.20)]
+        path.write_text(
+            "id,y_sens,y_spec,var_sens,var_spec\n"
+            + "".join(f"s{i},{a},{b},0.5,0.5\n" for i, (a, b) in enumerate(rows))
+        )
+        code = main(["region", "--input", str(path), "--points", "16"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("projected to PSD") == 1
+        assert all(line.startswith("warning: ") for line in captured.err.splitlines())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            region, fit = confidence_region(read_table(str(path)), "ccr")
+        assert fit.sigma == Sym2(0.0, 0.0, 0.0)
+        expected = ["y_sens,y_spec"] + [f"{u:.17g},{v:.17g}" for u, v in region_boundary(region, 16)]
+        assert captured.out == "\n".join(expected) + "\n"
+
     def test_too_few_points_exits_2(self, capsys, summary_table):
         code = main(["region", "--input", summary_table, "--points", "2"])
         assert code == 2
@@ -514,6 +537,17 @@ class TestReadmeExamples:
         path.write_text(fenced_block(README[README.index("Summary form"):], "csv"))
         assert main(["fit", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["estimator"] == "moment_bc"
+
+    def test_summary_form_report_keys(self, tmp_path, capsys):
+        # the top-level keys the README's fit paragraph lists, in report order
+        path = tmp_path / "readme_summary.csv"
+        path.write_text(fenced_block(README[README.index("Summary form"):], "csv"))
+        keys = ["beta", "sigma", "v", "estimator", "h", "b_terms", "regions", "i2", "sroc", "warnings"]
+        for estimator, extra in (("moment", []), ("reml", []), ("both", ["reml"])):
+            assert main(["fit", "--input", str(path), "--estimator", estimator]) == 0
+            assert list(json.loads(capsys.readouterr().out)) == keys + extra
+        for key in keys + ["reml"]:
+            assert f"`{key}`" in README[README.index("### fit"):README.index("### region")]
 
     def test_python_api_example_runs(self):
         code = fenced_block(README[README.index("## Python API"):], "python")

@@ -11,7 +11,9 @@ from dtameta import (
     RemlConvergenceWarning,
     Study,
     Sym2,
+    b_star,
     bias_corrected_sigma,
+    confidence_region,
     gls_beta,
     i_squared,
     moment_sigma0,
@@ -19,7 +21,9 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
+from dtameta import regions
 from dtameta.cli import read_table
+from dtameta.estimators import _restricted_nll
 
 
 def make_dataset(y, s):
@@ -156,10 +160,17 @@ class TestPooledMeans:
         with pytest.raises(DataError):
             gls_beta(Dataset(()), Sym2(0.1, 0.0, 0.1))
 
-    def test_indefinite_sigma_rejected(self):
+    def test_indefinite_sigma_rejected(self, monkeypatch):
+        # every public entry to the GLS fit checks D_i = Sigma + S_i
         d = make_dataset([(0.0, 0.0), (1.0, 1.0)], [(0.1, 0.1), (0.1, 0.1)])
-        with pytest.raises(ValueError):
-            v_matrix(d, Sym2(-1.0, 0.0, -1.0))
+        bad = Sym2(-1.0, 0.0, -1.0)
+        for entry in (gls_beta, v_matrix, b_star):
+            with pytest.raises(ValueError, match="indefinite marginal covariance"):
+                entry(d, bad)
+        monkeypatch.setattr(regions, "bias_corrected_sigma", lambda data: bad)
+        for method in ("ncr", "ccr"):
+            with pytest.raises(ValueError, match="indefinite marginal covariance"):
+                confidence_region(d, method)
 
 
 def restricted_nll_reference(sigma_arr, y, s):
@@ -204,6 +215,14 @@ class TestReml:
         nll_hat = restricted_nll_reference(sig.as_array(), y, s)
         assert nll_hat <= restricted_nll_reference(sigma_true.as_array(), y, s) + 1e-9
         assert nll_hat <= restricted_nll_reference(moment.as_array(), y, s) + 1e-9
+
+    def test_objective_is_infinite_where_d_is_singular(self):
+        # Sigma = 1e16 [[1, 1], [1, 1]] swamps s = 0.01, so every D_i rounds to
+        # a singular matrix: the simplex must see +inf, not a LinAlgError
+        y = np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.5]])
+        s = np.full((3, 2), 0.01)
+        theta = np.array([math.log(1e8), 1e8, -50.0])
+        assert _restricted_nll(theta, y, s) == math.inf
 
     def test_needs_three_studies(self):
         with pytest.raises(DataError):

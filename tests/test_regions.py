@@ -21,7 +21,9 @@ from dtameta import (
     region_boundary,
     region_contains,
 )
-from dtameta.estimators import _d_stack
+from dtameta import estimators
+from dtameta.cli import read_table
+from dtameta.estimators import _d_stack, _precisions
 from dtameta.regions import _b_star_kernel
 
 X05 = 5.991464547107982  # -2 log 0.05
@@ -192,9 +194,7 @@ class TestBStar:
         rng = np.random.default_rng(seed)
         s = rng.uniform(0.01, 1.0, size=(r, n, 2))
         l = np.tril(rng.uniform(-1.0, 1.0, size=(r, 2, 2)))
-        d = _d_stack(s, l @ np.swapaxes(l, -1, -2))
-        g = np.linalg.inv(d)
-        v = np.linalg.inv(g.sum(axis=1))
+        d, g, _, v = _precisions(s, l @ np.swapaxes(l, -1, -2))
         stacked = _b_star_kernel(d, g, v)
         for i in range(r):
             single = _b_star_kernel(d[i : i + 1], g[i : i + 1], v[i : i + 1])
@@ -243,6 +243,21 @@ class TestConfidenceRegion:
     def dataset(self):
         rng = np.random.default_rng(201)
         return random_dataset(rng, 12)
+
+    def test_builds_the_d_stack_once(self, monkeypatch, fixtures_dir):
+        # the corrected region takes beta, V and the trace terms from one checked fit
+        d = read_table(str(fixtures_dir / "synthetic14.csv"))
+        builds = []
+
+        def counted(s, sigma):
+            builds.append(s.shape)
+            return _d_stack(s, sigma)
+
+        monkeypatch.setattr(estimators, "_d_stack", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            confidence_region(d, "ccr")
+        assert builds == [(14, 2)]
 
     def test_ncr_threshold_is_plain_quantile(self, dataset):
         with warnings.catch_warnings():
