@@ -22,7 +22,6 @@ import numpy as np
 from .estimators import i_squared
 from .model import (
     ConfidenceRegion,
-    DataError,
     Dataset,
     FitResult,
     RegionUndefinedError,
@@ -58,28 +57,21 @@ class _InputError(Exception):
     """Malformed table or flag combination; maps to exit code 2."""
 
 
-def _parse_counts(row: list[str], line: int) -> Study:
-    ident = row[0]
-    try:
-        tp, fn, fp, tn = (int(v) for v in row[1:])
-    except ValueError:
-        raise _InputError(f"row {line} (id {ident!r}): counts must be integers, got {row[1:]}")
-    try:
-        return summarize_counts(tp, fn, fp, tn, id=ident)
-    except (DataError, ValueError) as exc:
-        raise _InputError(f"row {line} (id {ident!r}): {exc}")
+class _TooFewError(Exception):
+    """Fewer than 3 studies to fit; maps to exit code 3."""
 
 
-def _parse_summary(row: list[str], line: int) -> Study:
-    ident = row[0]
+def _parse_row(row: list[str], line: int, kind, what: str, build) -> Study:
+    """build(*fields, id=...) of one data row, its four fields read as kind; errors name the row."""
+    where = f"row {line} (id {row[0]!r})"
     try:
-        y_sens, y_spec, var_sens, var_spec = (float(v) for v in row[1:])
+        fields = [kind(v) for v in row[1:]]
     except ValueError:
-        raise _InputError(f"row {line} (id {ident!r}): summaries must be numeric, got {row[1:]}")
+        raise _InputError(f"{where}: {what}, got {row[1:]}")
     try:
-        return Study(y_a=y_sens, y_b=y_spec, s_a=var_sens, s_b=var_spec, id=ident)
-    except DataError as exc:
-        raise _InputError(f"row {line} (id {ident!r}): {exc}")
+        return build(*fields, id=row[0])
+    except ValueError as exc:  # covers DataError
+        raise _InputError(f"{where}: {exc}")
 
 
 def read_table(path: str) -> Dataset:
@@ -95,9 +87,9 @@ def read_table(path: str) -> Dataset:
         raise _InputError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
     if header == COUNT_HEADER:
-        parse = _parse_counts
+        kind, what, build = int, "counts must be integers", summarize_counts
     elif header in (SUMMARY_HEADER, _LOGIT_HEADER):
-        parse = _parse_summary
+        kind, what, build = float, "summaries must be numeric", Study
     else:
         raise _InputError(
             f"{path}: unrecognized header {','.join(header)!r}; expected "
@@ -109,8 +101,16 @@ def read_table(path: str) -> Dataset:
         row = [cell.strip() for cell in row]
         if len(row) != 5:
             raise _InputError(f"row {i}: expected 5 fields, got {len(row)}")
-        studies.append(parse(row, i))
+        studies.append(_parse_row(row, i, kind, what, build))
     return Dataset(studies)
+
+
+def _read_fittable(path: str) -> Dataset:
+    """read_table, refusing a table of fewer than 3 studies."""
+    d = read_table(path)
+    if d.n < 3:
+        raise _TooFewError(f"need at least 3 studies to fit, got {d.n}")
+    return d
 
 
 def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
@@ -220,8 +220,13 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     return report, plot
 
 
+def _px(fpr: float, sens: float) -> tuple[float, float]:
+    """Canvas position of an ROC-space point: the 420-pixel plot square sits at (40, 20)."""
+    return 40 + 420 * fpr, 20 + 420 * (1 - sens)
+
+
 def _svg_path(points: Sequence[tuple[float, float]], close: bool) -> str:
-    px = [f"{40 + 420 * fpr:.3f},{20 + 420 * (1 - sens):.3f}" for fpr, sens in points]
+    px = ["%.3f,%.3f" % _px(fpr, sens) for fpr, sens in points]
     return "M" + " L".join(px) + ("Z" if close else "")
 
 
@@ -236,8 +241,7 @@ def _render_svg(d: Dataset, plot: dict) -> str:
         '<rect x="40" y="20" width="420" height="420" fill="none" stroke="#444"/>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = 40 + 420 * frac
-        y = 20 + 420 * (1 - frac)
+        x, y = _px(frac, frac)
         parts.append(
             f'<text x="{x:.0f}" y="455" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{frac:g}</text>'
@@ -266,15 +270,13 @@ def _render_svg(d: Dataset, plot: dict) -> str:
             'stroke-width="1.5"/>'
         )
     for st in d.studies:
-        fpr, sens = to_roc_space([(st.y_a, st.y_b)])[0]
-        x, y = 40 + 420 * fpr, 20 + 420 * (1 - sens)
+        x, y = _px(*to_roc_space([(st.y_a, st.y_b)])[0])
         label = escape(st.id or "study")
         parts.append(
             f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3.5" fill="#888888" fill-opacity="0.7">'
             f"<title>{label}</title></circle>"
         )
-    fpr, sens = to_roc_space([fit.beta])[0]
-    x, y = 40 + 420 * fpr, 20 + 420 * (1 - sens)
+    x, y = _px(*to_roc_space([fit.beta])[0])
     parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#000000"/>')
     legend = [("NCR", "#1f77b4"), ("CCR", "#d62728"), ("SROC", "#333333")]
     for i, (name, color) in enumerate(legend):
@@ -288,10 +290,7 @@ def _render_svg(d: Dataset, plot: dict) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    d = read_table(args.input)
-    if d.n < 3:
-        sys.stderr.write(f"need at least 3 studies to fit, got {d.n}\n")
-        return EXIT_TOO_FEW
+    d = _read_fittable(args.input)
     report, plot = _fit_report(d, args.alpha, args.estimator)
     outputs = [(json.dumps(report, indent=2) + "\n", args.json)]
     if args.svg is not None:
@@ -305,10 +304,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    d = read_table(args.input)
-    if d.n < 3:
-        sys.stderr.write(f"need at least 3 studies to fit, got {d.n}\n")
-        return EXIT_TOO_FEW
+    d = _read_fittable(args.input)
     (region, _), messages = _captured(confidence_region, d, args.method, args.alpha, "moment_bc")
     sys.stderr.writelines(f"warning: {m}\n" for m in dict.fromkeys(messages))
     pts = region_boundary(region, args.points)
@@ -327,24 +323,19 @@ def cmd_region(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
+def _list_of(kind, what: str):
+    """argparse type for a non-empty comma-separated list of kind (what names it in errors)."""
 
+    def parse(text: str) -> list:
+        try:
+            vals = [kind(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {what} list: {text!r}")
+        if not vals:
+            raise argparse.ArgumentTypeError("empty list")
+        return vals
 
-def _int_list(text: str) -> list[int]:
-    try:
-        vals = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
+    return parse
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -378,33 +369,26 @@ def validation_preset(
     degenerate: the re-estimated covariance is pinned to the truth, so all
     three moments are exactly zero.
     """
+    override = None
     if name == "homogeneous":
-        sigma = Sym2(0.4, 0.0, 0.4)
-        cfg = OracleConfig(
-            n=32, sigma_true=sigma, within_vars=tuple((0.2, 0.2) for _ in range(32)),
-            reps=reps, seed=seed,
-        )
-        return cfg, None, (4.0 / 32, 6.0 / 32, 0.0)
-    if name == "heterogeneous":
-        sigma = Sym2(0.4, 0.08, 0.4)
-        sv = gen_within_variances(16, rep_stream(DESIGN_SEED, 0))
-        cfg = OracleConfig(
-            n=16, sigma_true=sigma, within_vars=tuple((a, b) for a, b in sv),
-            reps=reps, seed=seed,
-        )
+        sigma, sv = Sym2(0.4, 0.0, 0.4), [(0.2, 0.2)] * 32
+        expected = (4.0 / 32, 6.0 / 32, 0.0)
+    elif name == "heterogeneous":
+        sigma, sv = Sym2(0.4, 0.08, 0.4), gen_within_variances(16, rep_stream(DESIGN_SEED, 0))
         design = Dataset(
             Study(0.0, 0.0, a, b, id=f"design{i + 1:02d}") for i, (a, b) in enumerate(sv)
         )
-        expected = b_star(design, sigma)
-        return cfg, None, (expected.b1, expected.b2, expected.b3)
-    if name == "degenerate":
-        sigma = Sym2(0.0, 0.0, 0.0)
-        cfg = OracleConfig(
-            n=8, sigma_true=sigma, within_vars=tuple((0.2, 0.3) for _ in range(8)),
-            reps=reps, seed=seed,
-        )
-        return cfg, sigma, (0.0, 0.0, 0.0)
-    raise _InputError(f"unknown preset {name!r}")
+        b = b_star(design, sigma)
+        expected = (b.b1, b.b2, b.b3)
+    elif name == "degenerate":
+        sigma, sv = Sym2(0.0, 0.0, 0.0), [(0.2, 0.3)] * 8
+        override, expected = sigma, (0.0, 0.0, 0.0)
+    else:
+        raise _InputError(f"unknown preset {name!r}")
+    cfg = OracleConfig(
+        n=len(sv), sigma_true=sigma, within_vars=tuple(map(tuple, sv)), reps=reps, seed=seed
+    )
+    return cfg, override, expected
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -460,9 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.set_defaults(func=cmd_region)
 
     p_sim = sub.add_parser("simulate", help="run a coverage simulation grid, emit CSV")
-    p_sim.add_argument("--tau2", type=_float_list, required=True, help="comma-separated list")
-    p_sim.add_argument("--rho", type=_float_list, required=True, help="comma-separated list")
-    p_sim.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
+    numbers, integers = _list_of(float, "number"), _list_of(int, "integer")
+    p_sim.add_argument("--tau2", type=numbers, required=True, help="comma-separated list")
+    p_sim.add_argument("--rho", type=numbers, required=True, help="comma-separated list")
+    p_sim.add_argument("--n", type=integers, required=True, help="comma-separated list")
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="defaults to DTA_SEED, then 0")
     p_sim.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
@@ -487,6 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    except _TooFewError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_TOO_FEW
     except RegionUndefinedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_REGION

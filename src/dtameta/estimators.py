@@ -177,16 +177,16 @@ def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
     return Sym2.from_array(m)
 
 
+def _sigma_of(theta: np.ndarray) -> np.ndarray:
+    """Sigma = L L' from log-Cholesky coordinates theta = (log l11, l21, log l22)."""
+    l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
+    return np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
+
+
 def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     """Negative restricted log-likelihood at Sigma = L L' in log-Cholesky coordinates."""
-    l11 = math.exp(theta[0])
-    l21 = theta[1]
-    l22 = math.exp(theta[2])
-    if not (math.isfinite(l11) and math.isfinite(l22)):
-        return math.inf
-    sig = np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
     try:
-        d, g, a, _ = _precisions(s, sig)
+        d, g, a, _ = _precisions(s, _sigma_of(theta))
     except np.linalg.LinAlgError:
         return math.inf
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
@@ -216,9 +216,8 @@ def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
     if np.allclose(y, y[0], rtol=0.0, atol=0.0):
         raise DataError("degenerate dataset: all study summaries identical")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PsdProjectionWarning)
-        start_sigma = bias_corrected_sigma(d).as_array()
+    # the PSD-projected moment estimate, symmetrized as bias_corrected_sigma returns it
+    start_sigma = Sym2.from_array(_moment_bc_array(y, s)[0]).as_array()
     l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
     theta0 = np.array([math.log(l[0, 0]), l[1, 0], math.log(l[1, 1])])
 
@@ -235,8 +234,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
             RemlConvergenceWarning,
             stacklevel=2,
         )
-    l11, l21, l22 = math.exp(res.x[0]), float(res.x[1]), math.exp(res.x[2])
-    return Sym2(l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
+    return Sym2.from_array(_sigma_of(res.x))
 
 
 def i_squared(within_vars: Sequence[float], tau2: float) -> float:

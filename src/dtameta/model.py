@@ -68,8 +68,10 @@ class Study:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.y_a) and math.isfinite(self.y_b)):
             raise DataError(f"study {self.id!r}: non-finite logit summary")
-        if not (self.s_a > 0 and self.s_b > 0):
-            raise DataError(f"study {self.id!r}: within-study variances must be positive")
+        if not (0 < self.s_a < math.inf and 0 < self.s_b < math.inf):
+            raise DataError(
+                f"study {self.id!r}: within-study variances must be finite and positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,19 +112,6 @@ class Sym2:
     def from_array(cls, m: np.ndarray) -> "Sym2":
         m = np.asarray(m, dtype=float)
         return cls(float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1]))
-
-    @classmethod
-    def psd(cls, a11: float, a12: float, a22: float, tol: float = 1e-10) -> "Sym2":
-        """Constructor that verifies positive semi-definiteness up to tol."""
-        if a11 < -tol or a22 < -tol or a11 * a22 - a12 * a12 < -tol:
-            raise ValueError(
-                f"matrix [[{a11}, {a12}], [{a12}, {a22}]] is not PSD within tolerance {tol}"
-            )
-        return cls(a11, a12, a22)
-
-    @classmethod
-    def diagonal(cls, d1: float, d2: float) -> "Sym2":
-        return cls(d1, 0.0, d2)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]], dtype=float)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .estimators import _d_stack, _moment_bc_array, _precisions
 from .model import BTerms, DataError, Sym2
-from .regions import _chunks, _rep_fit, _rep_h, chi2_quantile
+from .regions import _chunks, _coverage, _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -188,6 +188,12 @@ def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
     return np.einsum("iab,rib->ria", chol, z)
 
 
+def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """((tr K)^2, tr K^2, tr K) of each K in a (..., 2, 2) stack."""
+    tr_k = k[..., 0, 0] + k[..., 1, 1]
+    return tr_k * tr_k, np.einsum("...ab,...ba->...", k, k), tr_k
+
+
 def mc_b_moments(
     cfg: OracleConfig, sigma_hat_override: Sym2 | None = None
 ) -> tuple[BTerms, tuple[float, float, float]]:
@@ -203,8 +209,8 @@ def mc_b_moments(
     reproduces bit-identically however it is chunked.
 
     sigma_hat_override pins the re-estimated covariance to a constant; with
-    the truth itself K is identically zero. It exists for validation only and
-    has no CLI exposure.
+    the truth itself K is identically zero. It exists for validation only:
+    `validate --preset degenerate` pins it to the truth.
     """
     if cfg.reps < 1000:
         raise ValueError("B-moment estimation needs at least 1000 replications")
@@ -214,20 +220,14 @@ def mc_b_moments(
 
     if sigma_hat_override is not None:
         k = (_precisions(s, sigma_hat_override.as_array())[3] - v_true) @ v_true_inv
-        tr_k = float(np.trace(k))
-        tr_k2 = float(np.einsum("ab,ba->", k, k))
-        return BTerms(tr_k * tr_k, tr_k2, tr_k), (0.0, 0.0, 0.0)
+        return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
     chol = np.linalg.cholesky(d_true)
     stats = np.empty((cfg.reps, 3))
     for reps in _chunks(cfg.reps, cfg.n):
         sig_hat, _ = _moment_bc_array(_draw_stack(cfg, reps, chol), s)
         k = (_precisions(s, sig_hat)[3] - v_true) @ v_true_inv
-        tr_k = k[:, 0, 0] + k[:, 1, 1]
-        rows = slice(reps.start, reps.stop)
-        stats[rows, 0] = tr_k * tr_k
-        stats[rows, 1] = np.einsum("rab,rba->r", k, k)
-        stats[rows, 2] = tr_k
+        stats[reps.start : reps.stop] = np.column_stack(_k_stats(k))
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)
     return BTerms(*map(float, means)), tuple(map(float, ses))
@@ -291,8 +291,6 @@ def mc_coverage(
         q[rows], d, g, v = _rep_fit(_draw_stack(cfg, reps, chol), s)
         if method == "ccr":
             h[rows] = _rep_h(d, g, v, x)
-    hits = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h)))
-    coverage = hits / cfg.reps
-    se = math.sqrt(coverage * (1.0 - coverage) / cfg.reps)
+    coverage, se = _coverage(q, h, x)
     median_h = float(np.median(h)) if method == "ccr" else 0.0
     return coverage, se, median_h

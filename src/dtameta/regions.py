@@ -156,6 +156,16 @@ def _rep_h(d: np.ndarray, g: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
     return _h_value(*_b_star_kernel(d, g, v), 2, x)
 
 
+def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
+    """(coverage, binomial SE) of R replications' quadratic forms q against thresholds x (1 + h).
+
+    h is (R,) or a scalar (0 for the naive region). A replication whose
+    factor 1 + h is not positive counts as a miss: no region exists to cover.
+    """
+    coverage = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / q.size
+    return coverage, math.sqrt(coverage * (1.0 - coverage) / q.size)
+
+
 def _h_value(b1, b2, b3, k: int, x: float):
     """The h_adjust formula on floats or on arrays of trace terms, unvalidated and silent."""
     return -(b1 / 4.0 - b2 / 2.0 + 2.0 * b3) / k + x * (b1 / 4.0 + b2 / 2.0) / (k * (k + 2.0))

@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import _i2_array
 from .model import Dataset, Study
 from .oracle import _normal_blocks, rep_stream
-from .regions import _chunks, _rep_fit, _rep_h, chi2_quantile
+from .regions import _chunks, _coverage, _rep_fit, _rep_h, chi2_quantile
 
 __all__ = [
     "Scenario",
@@ -202,15 +202,15 @@ def _run_scenario(sc: Scenario) -> GridResult:
         q[rows], d, g, v = _rep_fit(y, s)
         h[rows] = _rep_h(d, g, v, x)
         i2[rows] = _i2_array(s[..., 0], sc.tau2)
-    coverage_ncr = np.count_nonzero(q <= x) / sc.reps
-    coverage_ccr = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / sc.reps
+    coverage_ncr, _ = _coverage(q, 0.0, x)
+    coverage_ccr, mc_se = _coverage(q, h, x)
     return GridResult(
         scenario=sc,
         coverage_ncr=coverage_ncr,
         coverage_ccr=coverage_ccr,
         median_h=float(np.median(h)),
         mean_i2=float(i2.mean()),
-        mc_se=math.sqrt(coverage_ccr * (1.0 - coverage_ccr) / sc.reps),
+        mc_se=mc_se,
     )
 
 

@@ -115,6 +115,7 @@ class TestReadTable:
             ("id,tp,fn,fp,tn\na,-1,1,1,9", "row 2"),
             ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,0.0,0.3", "row 2"),
             ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,oops,0.2,0.3", "row 2"),
+            ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,inf,0.3", "row 2"),
             ("", "empty"),
         ],
     )
@@ -291,6 +292,16 @@ class TestFitCommand:
         assert len(paths) == 3  # sroc + two region boundaries
         titles = [t.text for t in root.findall(f".//{SVG_NS}title")]
         assert "synth01" in titles
+
+        # the plot square is 420 px wide at (40, 20), with sensitivity upward
+        def canvas(point):
+            fpr, sens = to_roc_space([point])[0]
+            return f"{40 + 420 * fpr:.3f}", f"{20 + 420 * (1 - sens):.3f}"
+
+        studies = read_table(str(fixtures_dir / "synthetic14.csv")).studies
+        beta = json.loads((tmp_path / "rep.json").read_text())["beta"]
+        expected = [canvas((st.y_a, st.y_b)) for st in studies] + [canvas(beta)]
+        assert [(c.get("cx"), c.get("cy")) for c in circles] == expected
 
 
 def parse_point_csv(text):
