@@ -45,15 +45,15 @@ def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return d
 
 
-def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Unchecked GLS stacks (D, G = D^{-1}, A = sum_i G_i, V = A^{-1}) at Sigma.
+def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
 
-    The one place D_i is inverted; sigma and s are as for _d_stack.
+    The one place D_i is inverted; sigma and s are as for _d_stack. Callers
+    that need V = A^{-1} invert A themselves.
     """
     d = _d_stack(s, sigma)
     g = np.linalg.inv(d)
-    a = g.sum(axis=-3)
-    return d, g, a, np.linalg.inv(a)
+    return d, g, g.sum(axis=-3)
 
 
 def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -69,10 +69,10 @@ def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray
     d11 = sigma.a11 + s[:, 0]
     if (d11 <= 0).any() or (d11 * (sigma.a22 + s[:, 1]) - sigma.a12 * sigma.a12 <= 0).any():
         raise ValueError("singular or indefinite marginal covariance D_i")
-    dmats, g, a, v = _precisions(s, sigma.as_array())
+    dmats, g, a = _precisions(s, sigma.as_array())
     if a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] <= 0 or a[0, 0] <= 0:
         raise ValueError("accumulated precision is singular")
-    return dmats, g, a, Sym2.from_array(v)
+    return dmats, g, a, Sym2.from_array(np.linalg.inv(a))
 
 
 def ols_beta(d: Dataset) -> np.ndarray:
@@ -131,15 +131,13 @@ def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, neg
 
 
-def _moment_bc_array(
-    y: np.ndarray, s: np.ndarray, project: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level bias-corrected moment estimate, (sigma_hat, projection_applied).
+def _moment_bc_array(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Array-level bias-corrected moment estimate before the PSD clamp.
 
     y is (..., n, 2) and s (..., n, 2) or one (n, 2) design for every leading
-    index; the result is (..., 2, 2) with a matching mask of clamped
-    estimates. Shared by the public estimator and the Monte Carlo loops,
-    which call it on replication stacks and emit no warnings.
+    index; the result is (..., 2, 2). Shared by the public estimator and the
+    Monte Carlo loops, which call it on replication stacks, apply _psd_clamp
+    themselves and emit no warnings.
     """
     n = y.shape[-2]
     s0 = _moment_raw(y, s)
@@ -147,10 +145,7 @@ def _moment_bc_array(
     col = s.sum(axis=-2)
     c[..., 0, 0] += col[..., 0]
     c[..., 1, 1] += col[..., 1]
-    m = s0 + c / n**2
-    if not project:
-        return m, np.zeros(m.shape[:-2], dtype=bool)
-    return _psd_clamp(m)
+    return s0 + c / n**2
 
 
 def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
@@ -166,8 +161,8 @@ def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
     """
     if d.n < 2:
         raise DataError("bias-corrected estimator needs at least 2 studies")
-    y, s = d.arrays()
-    m, changed = _moment_bc_array(y, s, project=project)
+    m = _moment_bc_array(*d.arrays())
+    m, changed = _psd_clamp(m) if project else (m, False)
     if changed:
         warnings.warn(
             "between-study covariance estimate was projected to PSD",
@@ -186,7 +181,7 @@ def _sigma_of(theta: np.ndarray) -> np.ndarray:
 def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     """Negative restricted log-likelihood at Sigma = L L' in log-Cholesky coordinates."""
     try:
-        d, g, a, _ = _precisions(s, _sigma_of(theta))
+        d, g, a = _precisions(s, _sigma_of(theta))
     except np.linalg.LinAlgError:
         return math.inf
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
@@ -198,7 +193,7 @@ def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
 
 
-def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
+def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     """Restricted maximum likelihood estimate of the between-study covariance.
 
     The covariance is parameterized as L L' with the diagonal of L on the log
@@ -217,7 +212,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
         raise DataError("degenerate dataset: all study summaries identical")
 
     # the PSD-projected moment estimate, symmetrized as bias_corrected_sigma returns it
-    start_sigma = Sym2.from_array(_moment_bc_array(y, s)[0]).as_array()
+    start_sigma = Sym2.from_array(_psd_clamp(_moment_bc_array(y, s))[0]).as_array()
     l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
     theta0 = np.array([math.log(l[0, 0]), l[1, 0], math.log(l[1, 1])])
 
@@ -226,7 +221,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500, xatol: float = 1e-8) -> Sym2:
         theta0,
         args=(y, s),
         method="Nelder-Mead",
-        options={"xatol": xatol, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
+        options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
     )
     if not res.success:
         warnings.warn(
@@ -247,10 +242,10 @@ def i_squared(within_vars: Sequence[float], tau2: float) -> float:
     v = np.asarray(within_vars, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise DataError("i_squared needs at least 2 within-study variances")
-    if np.any(v <= 0):
-        raise ValueError("within-study variances must be positive")
-    if tau2 < 0:
-        raise ValueError("tau2 must be nonnegative")
+    if not np.all((v > 0) & (v < math.inf)):
+        raise ValueError("within-study variances must be finite and positive")
+    if not 0 <= tau2 < math.inf:
+        raise ValueError("tau2 must be finite and nonnegative")
     return float(_i2_array(v, tau2))
 
 

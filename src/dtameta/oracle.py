@@ -8,10 +8,12 @@ of the random matrix K = {V(Sigma_hat) - V(Sigma)} V(Sigma)^{-1}:
 This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
-shares only the moment estimator and the precision kernel that gives V
-(_precisions) with them. mc_coverage measures the coverage the corrected
+shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
+precision kernel (_precisions) with them, and inverts the kernel's summed
+precision A into V itself. mc_coverage measures the coverage the corrected
 region attains rather than checking its terms, and runs the same
-replication fit as simlab (_rep_fit, _rep_h).
+replication fit as simlab (_rep_fit), which skips the trace terms for the
+naive region.
 
 Both run in two phases per chunk of replications. The draw loop reads
 replication r's rep_stream(seed, r) as one block of 2n standard normals;
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _d_stack, _moment_bc_array, _precisions
+from .estimators import _d_stack, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
-from .regions import _chunks, _coverage, _rep_fit, _rep_h, chi2_quantile
+from .regions import _chunks, _coverage, _rep_fit, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -67,8 +69,8 @@ class OracleConfig:
             raise DataError("need at least one study")
         if len(self.within_vars) != self.n:
             raise DataError(f"within_vars has {len(self.within_vars)} entries, expected n={self.n}")
-        if any(a <= 0 or b <= 0 for a, b in self.within_vars):
-            raise DataError("within-study variances must be positive")
+        if not all(0 < a < math.inf and 0 < b < math.inf for a, b in self.within_vars):
+            raise DataError("within-study variances must be finite and positive")
         if not self.sigma_true.is_psd():
             raise ValueError("sigma_true must be PSD")
         if self.reps < 1:
@@ -201,7 +203,8 @@ def mc_b_moments(
 
     Each replication simulates y_i ~ N2(0, sigma_true + S_i) (the mean is
     irrelevant by translation invariance), re-estimates the between-study
-    covariance with the bias-corrected moment estimator, and evaluates the
+    covariance with the bias-corrected moment estimator, inverts the summed
+    precision A from the shared kernel into V(Sigma_hat), and evaluates the
     three traces of K. Each replication's draws are one block of normals
     from its own stream, rep_stream(seed, r), with the stream states of a
     chunk derived together; the traces are computed on chunked replication
@@ -215,18 +218,19 @@ def mc_b_moments(
     if cfg.reps < 1000:
         raise ValueError("B-moment estimation needs at least 1000 replications")
     s = cfg.s_array()
-    d_true, _, _, v_true = _precisions(s, cfg.sigma_true.as_array())
+    d_true, _, a_true = _precisions(s, cfg.sigma_true.as_array())
+    v_true = np.linalg.inv(a_true)
     v_true_inv = np.linalg.inv(v_true)
 
     if sigma_hat_override is not None:
-        k = (_precisions(s, sigma_hat_override.as_array())[3] - v_true) @ v_true_inv
+        k = (np.linalg.inv(_precisions(s, sigma_hat_override.as_array())[2]) - v_true) @ v_true_inv
         return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
     chol = np.linalg.cholesky(d_true)
     stats = np.empty((cfg.reps, 3))
     for reps in _chunks(cfg.reps, cfg.n):
-        sig_hat, _ = _moment_bc_array(_draw_stack(cfg, reps, chol), s)
-        k = (_precisions(s, sig_hat)[3] - v_true) @ v_true_inv
+        sig_hat, _ = _psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))
+        k = (np.linalg.inv(_precisions(s, sig_hat)[2]) - v_true) @ v_true_inv
         stats[reps.start : reps.stop] = np.column_stack(_k_stats(k))
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)
@@ -284,13 +288,11 @@ def mc_coverage(
     s = cfg.s_array()
     x = chi2_quantile(alpha, 2)
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
+    x_ccr = x if method == "ccr" else None
     q = np.empty(cfg.reps)
-    h = np.zeros(cfg.reps)
+    h = np.empty(cfg.reps)
     for reps in _chunks(cfg.reps, cfg.n):
         rows = slice(reps.start, reps.stop)
-        q[rows], d, g, v = _rep_fit(_draw_stack(cfg, reps, chol), s)
-        if method == "ccr":
-            h[rows] = _rep_h(d, g, v, x)
+        q[rows], h[rows] = _rep_fit(_draw_stack(cfg, reps, chol), s, x_ccr)
     coverage, se = _coverage(q, h, x)
-    median_h = float(np.median(h)) if method == "ccr" else 0.0
-    return coverage, se, median_h
+    return coverage, se, float(np.median(h))

@@ -8,7 +8,8 @@ trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
 Public calls (once per confidence_region) and Monte Carlo replications
-(_rep_fit, _rep_h) take D, G and V from one precision kernel in estimators.
+(_rep_fit) take D, G and A from one precision kernel in estimators; only
+the corrected region inverts A into V.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .estimators import (
     _gls_mean,
     _moment_bc_array,
     _precisions,
+    _psd_clamp,
     bias_corrected_sigma,
     reml_sigma,
 )
@@ -134,26 +136,24 @@ def _chunks(reps: int, n: int) -> list[range]:
 
 
 def _rep_fit(
-    y: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    y: np.ndarray, s: np.ndarray, x: float | None
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Moment and GLS fit of R stacked Monte Carlo replications.
 
     y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
-    replication. Returns (q, D, G, V) from the same precision kernel as the
-    public fit: q (R,) is the quadratic form of the pooled mean about (0, 0),
-    D and G are (R, n, 2, 2), V is (R, 2, 2). Nothing is checked: the clamped
+    replication. Returns (q, h) from the same precision kernel as the public
+    fit: q (R,) is the quadratic form of the pooled mean about (0, 0), and h
+    (R,) the threshold adjustment at x. With x None (the naive region) the
+    trace terms are skipped and h is 0. Nothing is checked: the clamped
     estimate plus positive s_i is positive definite.
     """
-    sig_hat, _ = _moment_bc_array(y, s)
-    d, g, a, v = _precisions(s, sig_hat)
+    sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
+    d, g, a = _precisions(s, sig_hat)
     beta = _gls_mean(g, a, y)[..., None]
     q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
-    return q, d, g, v
-
-
-def _rep_h(d: np.ndarray, g: np.ndarray, v: np.ndarray, x: float) -> np.ndarray:
-    """Threshold adjustment h at x, shape (R,), for the (D, G, V) stacks from _rep_fit."""
-    return _h_value(*_b_star_kernel(d, g, v), 2, x)
+    if x is None:
+        return q, 0.0
+    return q, _h_value(*_b_star_kernel(d, g, np.linalg.inv(a)), 2, x)
 
 
 def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import _i2_array
 from .model import Dataset, Study
 from .oracle import _normal_blocks, rep_stream
-from .regions import _chunks, _coverage, _rep_fit, _rep_h, chi2_quantile
+from .regions import _chunks, _coverage, _rep_fit, chi2_quantile
 
 __all__ = [
     "Scenario",
@@ -61,8 +61,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tau2 < 0:
-            raise ValueError("tau2 must be nonnegative")
+        if not 0 <= self.tau2 < math.inf:
+            raise ValueError("tau2 must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if self.n < 2:
@@ -199,8 +199,7 @@ def _run_scenario(sc: Scenario) -> GridResult:
     for reps in _chunks(sc.reps, sc.n):
         y, s = _draw_block(sc, reps, chol)
         rows = slice(reps.start, reps.stop)
-        q[rows], d, g, v = _rep_fit(y, s)
-        h[rows] = _rep_h(d, g, v, x)
+        q[rows], h[rows] = _rep_fit(y, s, x)
         i2[rows] = _i2_array(s[..., 0], sc.tau2)
     coverage_ncr, _ = _coverage(q, 0.0, x)
     coverage_ccr, mc_se = _coverage(q, h, x)

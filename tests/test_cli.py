@@ -444,6 +444,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau2", ["nan", "inf"])
+    def test_nonfinite_tau2_exits_2(self, capsys, tmp_path, tau2):
+        out = tmp_path / "grid.csv"
+        code = main(["simulate", "--tau2", tau2, "--rho", "0", "--n", "8", "--reps", "5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "tau2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(SIM_ARGS + ["--out", str(out)]) == 0

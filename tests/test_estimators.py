@@ -302,3 +302,11 @@ class TestISquared:
             i_squared([0.1, -0.1], 0.2)
         with pytest.raises(ValueError):
             i_squared([0.1, 0.2], -0.2)
+        with pytest.raises(ValueError):
+            i_squared([math.inf, 0.1, 0.2], 0.1)
+        with pytest.raises(ValueError):
+            i_squared([math.nan, 0.1, 0.2], 0.1)
+        with pytest.raises(ValueError):
+            i_squared([0.1, 0.2], math.nan)
+        with pytest.raises(ValueError):
+            i_squared([0.1, 0.2], math.inf)

@@ -20,9 +20,11 @@ from dtameta import (
     mc_b_moments,
     mc_coverage,
     rep_stream,
+    reml_sigma,
     v_matrix,
 )
 from dtameta import oracle, regions
+from dtameta.cli import read_table
 from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
 
@@ -55,10 +57,11 @@ class TestOracleConfig:
             OracleConfig(n=3, sigma_true=Sym2(0.1, 0.0, 0.1),
                          within_vars=((0.1, 0.1),), reps=1000, seed=0)
 
-    def test_nonpositive_variance_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_nonpositive_variance_rejected(self, bad):
         with pytest.raises(DataError):
             OracleConfig(n=1, sigma_true=Sym2(0.1, 0.0, 0.1),
-                         within_vars=((0.0, 0.1),), reps=1000, seed=0)
+                         within_vars=((bad, 0.1),), reps=1000, seed=0)
 
     def test_indefinite_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -346,6 +349,24 @@ class TestMcCoverage:
         monkeypatch.setattr(regions, "_b_star_kernel", fail)
         cov, _, _ = mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
         assert 0.0 < cov <= 1.0
+
+    def test_callers_that_drop_v_never_form_it(self, monkeypatch, fixtures_dir):
+        # REML's objective and the naive region read the summed precision A,
+        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted
+        shapes = []
+        real_inv = np.linalg.inv
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return real_inv(a)
+
+        d = read_table(fixtures_dir / "synthetic14.csv")
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        reml_sigma(d)
+        assert shapes and (2, 2) not in shapes
+        shapes.clear()
+        mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
+        assert shapes and all(len(shape) == 4 for shape in shapes)
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_runs_clean_under_warnings_as_errors(self, method):

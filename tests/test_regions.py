@@ -194,7 +194,8 @@ class TestBStar:
         rng = np.random.default_rng(seed)
         s = rng.uniform(0.01, 1.0, size=(r, n, 2))
         l = np.tril(rng.uniform(-1.0, 1.0, size=(r, 2, 2)))
-        d, g, _, v = _precisions(s, l @ np.swapaxes(l, -1, -2))
+        d, g, a = _precisions(s, l @ np.swapaxes(l, -1, -2))
+        v = np.linalg.inv(a)
         stacked = _b_star_kernel(d, g, v)
         for i in range(r):
             single = _b_star_kernel(d[i : i + 1], g[i : i + 1], v[i : i + 1])

@@ -68,6 +68,8 @@ class TestScenarioValidation:
             dict(tau2=0.1, rho=0.0, n=1, reps=10),
             dict(tau2=0.1, rho=0.0, n=8, reps=0),
             dict(tau2=0.1, rho=0.0, n=8, reps=10, alpha=0.0),
+            dict(tau2=math.nan, rho=0.0, n=8, reps=10),
+            dict(tau2=math.inf, rho=0.0, n=8, reps=10),
         ],
     )
     def test_rejects_bad_cells(self, kwargs):
