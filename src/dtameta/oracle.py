@@ -220,17 +220,16 @@ def mc_b_moments(
     s = cfg.s_array()
     d_true, _, a_true = _precisions(s, cfg.sigma_true.as_array())
     v_true = np.linalg.inv(a_true)
-    v_true_inv = np.linalg.inv(v_true)
 
     if sigma_hat_override is not None:
-        k = (np.linalg.inv(_precisions(s, sigma_hat_override.as_array())[2]) - v_true) @ v_true_inv
+        k = (np.linalg.inv(_precisions(s, sigma_hat_override.as_array())[2]) - v_true) @ a_true
         return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
     chol = np.linalg.cholesky(d_true)
     stats = np.empty((cfg.reps, 3))
     for reps in _chunks(cfg.reps, cfg.n):
         sig_hat, _ = _psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))
-        k = (np.linalg.inv(_precisions(s, sig_hat)[2]) - v_true) @ v_true_inv
+        k = (np.linalg.inv(_precisions(s, sig_hat)[2]) - v_true) @ a_true
         stats[reps.start : reps.stop] = np.column_stack(_k_stats(k))
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)

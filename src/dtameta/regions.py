@@ -78,11 +78,12 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
               - (1/n^2) sum_{ij} tr(G_i D_j) tr(V U_{iji})
 
     Each study index in these products labels only its own two or three
-    factors (G_i G_i, D_i D_i or G_i G_i G_i), so summing it out first gives
-    one of three Kronecker moment sums, GG = sum_i G_i (x) G_i,
-    DD = sum_i D_i (x) D_i and GGG = sum_i G_i (x) G_i (x) G_i. Building
-    them is the only O(n) work. Every trace is then a contraction of V with
-    2^4- and 2^6-entry tensors, so time is linear in n and memory constant.
+    factors, so summing it out first leaves 4 x 4 moments of the stack:
+    DD = sum_i vec(D_i) vec(D_i)', the Kronecker sums Kg = sum_i G_i (x) G_i
+    and Kd = sum_i D_i (x) D_i, and sum_i vec(Q_i) vec(G_i)' with
+    Q_i = G_i V G_i. Building them is the only O(n) work; every trace is
+    then a product of 4 x 4 matrices, so time is linear in n and memory
+    constant.
     """
     dmats, g, _, v = _checked_precisions(d, sigma)
     return _b_terms(dmats, g, v)
@@ -97,30 +98,30 @@ def _b_terms(dmats: np.ndarray, g: np.ndarray, v: Sym2) -> BTerms:
 def _b_star_kernel(
     dmats: np.ndarray, g: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contraction core of b_star on R stacked replications: (b1, b2, b3), each (R,).
+    """Trace core of b_star on R stacked replications: (b1, b2, b3), each (R,).
 
     Takes D (R, n, 2, 2), G = D^{-1} and V (R, 2, 2); the leading axis
     only indexes replications, so each row is computed as it would be alone.
-    The einsums run without path optimization: the operands are at most
-    2^6 entries per replication, and the path search would cost more than
-    the contraction.
+    With row-major vec, G_i, D_i and V symmetric, P = sum_i Q_i and <X, Y>
+    the sum of the elementwise product, the terms are 4 x 4 matrix products:
+      b1 = 2 <Kd, vec(P) vec(P)'> / n^2
+      b2 = (<Kg (V (x) V) Kg, DD> + <Kg Kd Kg, V (x) V>) / n^2
+      b3 = b2 - <sum_i vec(Q_i) vec(G_i)', Kd + DD> / n^2
+    Each Kronecker product or sum is an axis permutation of a vec outer
+    product or sum, and the only per-study work is Q_i and those sums.
     """
-    n2 = dmats.shape[-3] ** 2
-    gg = np.einsum("riab,ricd->rabcd", g, g)
-    dd = np.einsum("riab,ricd->rabcd", dmats, dmats)
-    ggg = np.einsum("riab,ricd,rief->rabcdef", g, g, g)
+    r, n = g.shape[:2]
+    d4, g4, v4 = dmats.reshape(r, n, 4), g.reshape(r, n, 4), v.reshape(r, 1, 4)
+    q4 = (g @ v[:, None] @ g).reshape(r, n, 4)
+    p4 = q4.sum(axis=1, keepdims=True)
+    gg, dd, vo, pp, qg = (
+        np.swapaxes(x, 1, 2) @ y for x, y in ((g4, g4), (d4, d4), (v4, v4), (p4, p4), (q4, g4))
+    )
+    kg, kd, vv = (m.reshape(r, 2, 2, 2, 2).swapaxes(2, 3).reshape(r, 4, 4) for m in (gg, dd, vo))
 
-    p = np.einsum("rabcd,rbc->rad", gg, v)
-    b1 = 2.0 * np.einsum("rab,rcd,rbcda->r", p, p, dd) / n2
-
-    t1 = np.einsum("rabcd,rde,refgh,rha,rbcfg->r", gg, v, gg, v, dd) / n2
-    t2 = np.einsum("rab,ref,rbche,rcdgh,rdafg->r", v, v, gg, dd, gg) / n2
-    b2 = t1 + t2
-
-    c1 = np.einsum("rab,rbxycda,rxycd->r", v, ggg, dd) / n2
-    c2 = np.einsum("rab,rpqbxya,rqpxy->r", v, ggg, dd) / n2
-    b3 = b2 - c1 - c2
-
+    b1 = 2.0 * (kd * pp).sum(axis=(1, 2)) / n**2
+    b2 = (((kg @ vv @ kg) * dd).sum(axis=(1, 2)) + ((kg @ kd @ kg) * vv).sum(axis=(1, 2))) / n**2
+    b3 = b2 - (qg * (kd + dd)).sum(axis=(1, 2)) / n**2
     return b1, b2, b3
 
 
@@ -162,7 +163,7 @@ def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
     h is (R,) or a scalar (0 for the naive region). A replication whose
     factor 1 + h is not positive counts as a miss: no region exists to cover.
     """
-    coverage = np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / q.size
+    coverage = float(np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / q.size)
     return coverage, math.sqrt(coverage * (1.0 - coverage) / q.size)
 
 

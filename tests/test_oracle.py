@@ -380,6 +380,11 @@ class TestMcCoverage:
             _, _, median_h = mc_coverage(cfg, method=method)
         assert median_h > 1.0 if method == "ccr" else median_h == 0.0
 
+    @pytest.mark.parametrize("method", ["ncr", "ccr"])
+    def test_returns_python_floats(self, method):
+        result = mc_coverage(homogeneous_config(6, 100, 8), method=method)
+        assert [type(v) for v in result] == [float, float, float]
+
     def test_ncr_median_h_is_zero(self):
         cfg = homogeneous_config(6, 100, 8)
         _, _, med = mc_coverage(cfg, method="ncr")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtameta import (
     AdjustmentMagnitudeWarning,
@@ -24,7 +24,7 @@ from dtameta import (
 from dtameta import estimators
 from dtameta.cli import read_table
 from dtameta.estimators import _d_stack, _precisions
-from dtameta.regions import _b_star_kernel
+from dtameta.regions import _CHUNK_ROWS, _b_star_kernel
 
 X05 = 5.991464547107982  # -2 log 0.05
 
@@ -189,6 +189,9 @@ class TestBStar:
         n=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
+    # stacks as tall as one Monte Carlo chunk, where batched matmuls run on full size
+    @example(r=_CHUNK_ROWS // 8, n=8, seed=106)
+    @example(r=_CHUNK_ROWS // 16, n=16, seed=107)
     def test_stacked_kernel_equals_single_calls(self, r, n, seed):
         # each replication of a stack gets the bits it gets alone
         rng = np.random.default_rng(seed)
@@ -201,6 +204,18 @@ class TestBStar:
             single = _b_star_kernel(d[i : i + 1], g[i : i + 1], v[i : i + 1])
             for term_stack, term_single in zip(stacked, single):
                 assert term_stack[i] == term_single[0]
+
+    def test_stack_matches_literal_triple_sum(self):
+        # one row per dataset, each with its own sigma (full, rank one, zero)
+        rng = np.random.default_rng(108)
+        sigmas = [Sym2(0.4, 0.1, 0.3), Sym2(0.25, -0.15, 0.09), Sym2(0.0, 0.0, 0.0)]
+        datasets = [random_dataset(rng, 6) for _ in sigmas]
+        s = np.stack([d.arrays()[1] for d in datasets])
+        d, g, a = _precisions(s, np.stack([sigma.as_array() for sigma in sigmas]))
+        stacked = _b_star_kernel(d, g, np.linalg.inv(a))
+        for i, (dataset, sigma) in enumerate(zip(datasets, sigmas)):
+            for term, ref in zip(stacked, b_star_reference(dataset, sigma)):
+                assert term[i] == pytest.approx(ref, rel=1e-12)
 
     def test_nonnegative_square_terms(self):
         rng = np.random.default_rng(103)

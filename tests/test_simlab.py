@@ -251,6 +251,11 @@ class TestRunGrid:
         assert res.coverage_ccr in (0.0, 1.0)
         assert res.mc_se == 0.0
 
+    def test_fields_are_python_floats(self):
+        res = run_grid([Scenario(tau2=0.2, rho=0.0, n=8, reps=100, seed=0)])[0]
+        for name in ("coverage_ncr", "coverage_ccr", "median_h", "mean_i2", "mc_se"):
+            assert type(getattr(res, name)) is float, name
+
     @pytest.mark.parametrize(
         "sc",
         [
