@@ -38,6 +38,13 @@ cfg, _, _ = validation_preset({preset!r}, 3000, 5)
 print(*(repr(float(v)) for v in mc_coverage(cfg, {method!r})))
 """
 
+_MC_B_MOMENTS = """
+from dtameta.cli import validation_preset
+from dtameta.oracle import mc_b_moments
+cfg, _, _ = validation_preset({preset!r}, 2000, 0)
+print(repr(mc_b_moments(cfg)))
+"""
+
 # REML on the fixture and on 40 seeded random tables of 5 to 30 studies
 _REML_TABLES = """
 import warnings
@@ -87,6 +94,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                            ("homogeneous", "ccr")):
         code = _MC_COVERAGE.format(preset=preset, method=method)
         cmds.append((f"mc_coverage_{preset}_{method}", ["-c", code]))
+    for preset in ("homogeneous", "heterogeneous"):
+        cmds.append((f"mc_b_moments_{preset}", ["-c", _MC_B_MOMENTS.format(preset=preset)]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     return cmds
 
