@@ -45,20 +45,50 @@ def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return d
 
 
+def _inv2(m: np.ndarray) -> np.ndarray:
+    """Inverse of each 2x2 of a (..., 2, 2) stack: the adjugate over the determinant, unchecked."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    out = np.empty_like(m)
+    out[..., 0, 0] = d / det
+    out[..., 0, 1] = -b / det
+    out[..., 1, 0] = -c / det
+    out[..., 1, 1] = a / det
+    return out
+
+
 def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unchecked GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
 
     The one place D_i is inverted; sigma and s are as for _d_stack. Callers
-    that need V = A^{-1} invert A themselves.
+    that need V = A^{-1} invert A themselves. The closed-form inverse raises
+    nothing: a singular D_i divides by zero, with a RuntimeWarning and
+    non-finite G. So every caller checks each D_i first (_checked_precisions,
+    mc_b_moments) or passes one that is positive definite by construction:
+    the PSD-clamped estimate plus positive within-study variances (_rep_fit).
     """
     d = _d_stack(s, sigma)
-    g = np.linalg.inv(d)
+    g = _inv2(d)
     return d, g, g.sum(axis=-3)
 
 
 def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """GLS pooled mean A^{-1} sum_i G_i y_i of each (..., n, 2) stack of y, shape (..., 2)."""
-    return np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y)[..., None])[..., 0]
+    """GLS pooled mean A^{-1} sum_i G_i y_i of each (..., n, 2) stack of y, shape (..., 2).
+
+    The 2x2 solve is Cramer's rule, so no V = A^{-1} is formed.
+    """
+    b = np.einsum("...iab,...ib->...a", g, y)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    x0 = (a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1]) / det
+    x1 = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / det
+    return np.stack([x0, x1], axis=-1)
+
+
+def _check_d(s: np.ndarray, sigma: np.ndarray) -> None:
+    """Raise ValueError unless every D_i = Sigma + diag(s_i) is positive definite; s is (n, 2)."""
+    d11 = sigma[0, 0] + s[:, 0]
+    if (d11 <= 0).any() or (d11 * (sigma[1, 1] + s[:, 1]) - sigma[0, 1] * sigma[0, 1] <= 0).any():
+        raise ValueError("singular or indefinite marginal covariance D_i")
 
 
 def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sym2]:
@@ -66,13 +96,11 @@ def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray
     _, s = d.arrays()
     if d.n == 0:
         raise DataError("empty dataset")
-    d11 = sigma.a11 + s[:, 0]
-    if (d11 <= 0).any() or (d11 * (sigma.a22 + s[:, 1]) - sigma.a12 * sigma.a12 <= 0).any():
-        raise ValueError("singular or indefinite marginal covariance D_i")
+    _check_d(s, sigma.as_array())
     dmats, g, a = _precisions(s, sigma.as_array())
     if a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] <= 0 or a[0, 0] <= 0:
         raise ValueError("accumulated precision is singular")
-    return dmats, g, a, Sym2.from_array(np.linalg.inv(a))
+    return dmats, g, a, Sym2.from_array(_inv2(a))
 
 
 def ols_beta(d: Dataset) -> np.ndarray:
@@ -118,17 +146,31 @@ def _moment_raw(y: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project each 2x2 of a (..., 2, 2) stack onto the PSD cone by zeroing negative eigenvalues.
 
-    Returns (projected stack, mask of the matrices that changed). Only the
-    matrices with a negative eigenvalue are rebuilt; the rest pass through.
+    Returns (projected stack, mask of the matrices that changed). A symmetric
+    2x2 with a11 > 0 and det > 1e-12 tr^2 is positive definite with its
+    smaller eigenvalue above 1e-12 tr, far beyond eigh's rounding error of a
+    few eps tr, so it passes through on this elementwise test alone. eigh
+    runs only on the rest, and of those only the matrices with a negative
+    eigenvalue are rebuilt. The mask is therefore eigh's w[..., 0] < 0 on
+    every input whose entry products do not underflow, near-singular ones
+    included.
     """
-    w, q = np.linalg.eigh(m)
-    neg = w[..., 0] < 0
-    if not neg.any():
-        return m, neg
-    out = m.copy()
+    flat = m.reshape(-1, 2, 2)
+    a11, a22 = flat[:, 0, 0], flat[:, 1, 1]
+    tr = a11 + a22
+    pd = (a11 > 0) & (a11 * a22 - flat[:, 1, 0] * flat[:, 1, 0] > 1e-12 * tr * tr)
+    changed = np.zeros(len(flat), dtype=bool)
+    rest = np.flatnonzero(~pd)
+    if rest.size:
+        w, q = np.linalg.eigh(flat[rest])
+        neg = w[:, 0] < 0
+        changed[rest[neg]] = True
+    if not changed.any():
+        return m, changed.reshape(m.shape[:-2])
+    out = flat.copy()
     qn = q[neg]
-    out[neg] = (qn * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(qn, -1, -2)
-    return out, neg
+    out[rest[neg]] = (qn * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(qn, -1, -2)
+    return out.reshape(m.shape), changed.reshape(m.shape[:-2])
 
 
 def _moment_bc_array(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -180,15 +222,21 @@ def _sigma_of(theta: np.ndarray) -> np.ndarray:
 
 def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     """Negative restricted log-likelihood at Sigma = L L' in log-Cholesky coordinates."""
+    # LAPACK inv and solve, not _precisions' closed forms: a change in the
+    # objective's last bits moves the simplex path and REML's estimate by up
+    # to 2.4e-8 relative. ROADMAP item 3 replaces this objective.
+    d = _d_stack(s, _sigma_of(theta))
     try:
-        d, g, a = _precisions(s, _sigma_of(theta))
+        g = np.linalg.inv(d)
     except np.linalg.LinAlgError:
         return math.inf
+    a = g.sum(axis=-3)
     det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
     det_a = a[0, 0] * a[1, 1] - a[0, 1] ** 2
     if (det <= 0).any() or det_a <= 0:
         return math.inf
-    r = y - _gls_mean(g, a, y)
+    beta = np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y)[..., None])[..., 0]
+    r = y - beta
     quad = float(np.einsum("ia,iab,ib->", r, g, r))
     return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
 

@@ -10,7 +10,8 @@ fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
 precision kernel (_precisions) with them, and inverts the kernel's summed
-precision A into V itself. mc_coverage measures the coverage the corrected
+precision A into V itself, with the same closed-form 2 x 2 inverse
+(_inv2, the adjugate over the determinant). mc_coverage measures the coverage the corrected
 region attains rather than checking its terms, and runs the same
 replication fit as simlab (_rep_fit), which skips the trace terms for the
 naive region.
@@ -19,7 +20,9 @@ Both run in two phases per chunk of replications. The draw loop reads
 replication r's rep_stream(seed, r) as one block of 2n standard normals;
 the stream states of the whole chunk are derived at once and set on one
 generator in turn (_stream_states, _normal_blocks, which simlab shares),
-and the block is colored on the whole stack. The fit then runs once on the stack.
+and the block is colored on the whole stack by each D_i's lower Cholesky
+factor L, written out as y1 = l11 z1 and y2 = l21 z1 + l22 z2. The fit
+then runs once on the stack.
 Chunks hold a fixed bound of replication x study rows, and chunking never
 changes a result.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _d_stack, _moment_bc_array, _precisions, _psd_clamp
+from .estimators import _check_d, _d_stack, _inv2, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
 from .regions import _chunks, _coverage, _rep_fit, chi2_quantile
 
@@ -183,11 +186,14 @@ def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
     """The (R, n, 2) stack of y for replications reps, each from its own stream.
 
     A dataset is two standard normals per study, colored by each D_i's
-    Cholesky factor; the normals are one block per stream, colored on the
-    whole stack.
+    lower Cholesky factor; the normals are one block per stream, colored in
+    place on the whole stack.
     """
     z = _normal_blocks(cfg.seed, reps, 2 * cfg.n).reshape(len(reps), cfg.n, 2)
-    return np.einsum("iab,rib->ria", chol, z)
+    z[..., 1] *= chol[:, 1, 1]
+    z[..., 1] += chol[:, 1, 0] * z[..., 0]
+    z[..., 0] *= chol[:, 0, 0]
+    return z
 
 
 def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,18 +224,22 @@ def mc_b_moments(
     if cfg.reps < 1000:
         raise ValueError("B-moment estimation needs at least 1000 replications")
     s = cfg.s_array()
-    d_true, _, a_true = _precisions(s, cfg.sigma_true.as_array())
-    v_true = np.linalg.inv(a_true)
+    truth = cfg.sigma_true.as_array()
+    _check_d(s, truth)
+    d_true, _, a_true = _precisions(s, truth)
+    v_true = _inv2(a_true)
 
     if sigma_hat_override is not None:
-        k = (np.linalg.inv(_precisions(s, sigma_hat_override.as_array())[2]) - v_true) @ a_true
+        override = sigma_hat_override.as_array()
+        _check_d(s, override)
+        k = (_inv2(_precisions(s, override)[2]) - v_true) @ a_true
         return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
     chol = np.linalg.cholesky(d_true)
     stats = np.empty((cfg.reps, 3))
     for reps in _chunks(cfg.reps, cfg.n):
         sig_hat, _ = _psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))
-        k = (np.linalg.inv(_precisions(s, sig_hat)[2]) - v_true) @ a_true
+        k = (_inv2(_precisions(s, sig_hat)[2]) - v_true) @ a_true
         stats[reps.start : reps.stop] = np.column_stack(_k_stats(k))
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)

@@ -9,7 +9,11 @@ identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
 Public calls (once per confidence_region) and Monte Carlo replications
 (_rep_fit) take D, G and A from one precision kernel in estimators; only
-the corrected region inverts A into V.
+the corrected region inverts A into V. Every matrix here is 2 x 2, so the
+algebra is closed form: each inverse is the adjugate over the determinant
+(estimators._inv2), the pooled mean solves its 2 x 2 system by Cramer's
+rule, and the PSD clamp calls eigh only on estimates that an elementwise
+determinant test cannot pass.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .estimators import (
     _checked_precisions,
     _gls_mean,
+    _inv2,
     _moment_bc_array,
     _precisions,
     _psd_clamp,
@@ -154,7 +159,7 @@ def _rep_fit(
     q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
     if x is None:
         return q, 0.0
-    return q, _h_value(*_b_star_kernel(d, g, np.linalg.inv(a)), 2, x)
+    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), 2, x)
 
 
 def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:

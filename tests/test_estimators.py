@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dtameta import (
     DataError,
@@ -23,7 +24,7 @@ from dtameta import (
 )
 from dtameta import regions
 from dtameta.cli import read_table
-from dtameta.estimators import _restricted_nll
+from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll
 
 
 def make_dataset(y, s):
@@ -171,6 +172,81 @@ class TestPooledMeans:
         for method in ("ncr", "ccr"):
             with pytest.raises(ValueError, match="indefinite marginal covariance"):
                 confidence_region(d, method)
+
+
+def eigh_clamp(m):
+    """The PSD clamp with eigh on every matrix of a (k, 2, 2) stack: (clamped, mask)."""
+    w, q = np.linalg.eigh(m)
+    neg = w[:, 0] < 0
+    out = m.copy()
+    out[neg] = (q[neg] * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(q[neg], -1, -2)
+    return out, neg
+
+
+# entries are 0 or of magnitude 1e-50 to 1e50, so no product underflows
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0).filter(lambda m: abs(m) >= 1.0),
+              st.integers(-50, 49)),
+)
+_SYM2 = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY),  # any symmetric (a11, a12, a22)
+    st.tuples(_ENTRY, st.just(0.0), _ENTRY),  # diagonal
+    st.just((0.0, 0.0, 0.0)),
+    st.tuples(_ENTRY, _ENTRY).map(lambda u: (u[0] * u[0], u[0] * u[1], u[1] * u[1])),  # rank one
+)
+# u u' with u = (0.1, 1.5): the determinant rounds to exactly 0.0, yet eigh
+# finds an eigenvalue of -1.7e-18, so a plain det >= 0 test would pass a
+# matrix that the eigh clamp rebuilds
+_RANK_ONE_DET_ZERO = (0.1 * 0.1, 0.1 * 1.5, 1.5 * 1.5)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 9)])
+    def test_inverse_matches_lapack(self, shape):
+        rng = np.random.default_rng(111)
+        l = np.tril(rng.uniform(-1.0, 1.0, size=shape + (2, 2)))
+        m = l @ np.swapaxes(l, -1, -2)
+        m[..., 0, 0] += rng.uniform(0.01, 1.0, size=shape)
+        m[..., 1, 1] += rng.uniform(0.01, 1.0, size=shape)
+        got, ref = _inv2(m), np.linalg.inv(m)
+        assert got.shape == m.shape
+        scale = np.abs(ref).max(axis=(-2, -1))
+        assert (np.abs(got - ref).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SYM2, min_size=1, max_size=12))
+    @example([_RANK_ONE_DET_ZERO])
+    @example([(1.0, 2.0, 1.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+    def test_clamp_mask_is_eighs(self, entries):
+        # the elementwise test only lets through what eigh would leave alone
+        m = np.array([[[a11, a12], [a12, a22]] for a11, a12, a22 in entries])
+        a11, a12, a22 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+        assert not np.isinf(a11 * a22 - a12 * a12).any()
+        out, changed = _psd_clamp(m)
+        ref_out, ref_changed = eigh_clamp(m)
+        assert changed.shape == (len(entries),)
+        assert np.array_equal(changed, ref_changed)
+        assert np.array_equal(out, ref_out)
+
+    def test_plain_determinant_test_misjudges_rank_one(self):
+        a11, a12, a22 = _RANK_ONE_DET_ZERO
+        assert a11 * a22 - a12 * a12 == 0.0
+        m = np.array([[a11, a12], [a12, a22]])
+        assert np.linalg.eigh(m)[0][0] < 0
+        assert _psd_clamp(m)[1]
+
+    @pytest.mark.parametrize(
+        "m", [[[1.0, 2.0], [2.0, 1.0]], [[0.5, 0.1], [0.1, 0.3]], [[0.0, 0.0], [0.0, 0.0]]]
+    )
+    def test_single_matrix(self, m):
+        # one (2, 2) matrix, as bias_corrected_sigma passes it: a 0-d mask
+        m = np.array(m)
+        out, changed = _psd_clamp(m)
+        ref_out, ref_changed = eigh_clamp(m[None])
+        assert out.shape == (2, 2) and changed.shape == ()
+        assert bool(changed) == ref_changed[0]
+        assert np.array_equal(out, ref_out[0])
 
 
 def restricted_nll_reference(sigma_arr, y, s):

@@ -23,7 +23,7 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
-from dtameta import oracle, regions
+from dtameta import estimators, oracle, regions
 from dtameta.cli import read_table
 from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
@@ -352,16 +352,22 @@ class TestMcCoverage:
 
     def test_callers_that_drop_v_never_form_it(self, monkeypatch, fixtures_dir):
         # REML's objective and the naive region read the summed precision A,
-        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted
+        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted,
+        # by LAPACK or by the closed-form _inv2
         shapes = []
-        real_inv = np.linalg.inv
 
-        def counted(a):
-            shapes.append(np.shape(a))
-            return real_inv(a)
+        def counting(inv):
+            def counted(a):
+                shapes.append(np.shape(a))
+                return inv(a)
+
+            return counted
 
         d = read_table(fixtures_dir / "synthetic14.csv")
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
+        inv2 = counting(estimators._inv2)
+        for module in (estimators, regions, oracle):
+            monkeypatch.setattr(module, "_inv2", inv2)
         reml_sigma(d)
         assert shapes and (2, 2) not in shapes
         shapes.clear()
