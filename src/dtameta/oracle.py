@@ -10,9 +10,9 @@ fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
 precision kernel (_precisions) with them, and inverts the kernel's summed
-precision A into V itself, with the same closed-form 2 x 2 inverse
-(_inv2, the adjugate over the determinant). mc_coverage measures the coverage the corrected
-region attains rather than checking its terms, and runs the same
+precision A into V itself, with the same closed-form 2 x 2 inverse (_inv2,
+the adjugate over the determinant). mc_coverage measures the coverage the
+corrected region attains rather than checking its terms, and runs the same
 replication fit as simlab (_rep_fit), which skips the trace terms for the
 naive region.
 
