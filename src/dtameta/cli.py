@@ -31,7 +31,7 @@ from .model import (
 from .oracle import OracleConfig, mc_b_moments, rep_stream
 from .regions import b_star, chi2_quantile, confidence_region, region_boundary
 from .simlab import Scenario, _write_atomic, gen_within_variances, grid_to_csv, run_grid
-from .transforms import sroc_curve, summarize_counts, to_roc_space
+from .transforms import _roc_array, _sroc_array, summarize_counts
 
 __all__ = ["main", "read_table", "validation_preset"]
 
@@ -156,14 +156,12 @@ def _region_json(r: ConfidenceRegion) -> dict:
     }
 
 
-def _safe_sroc(fit: FitResult, warn_sink: list[str]) -> list[list[float]]:
-    if fit.sigma.a22 <= 0:
-        warn_sink.append(
-            "sroc curve omitted: between-study specificity variance is zero"
-        )
-        return []
-    pts = sroc_curve(fit.beta, fit.sigma, SROC_GRID)
-    return [[t, sens] for t, sens in pts]
+def _safe_sroc(fit: FitResult, warn_sink: list[str]) -> np.ndarray:
+    """The (m, 2) SROC points of fit on SROC_GRID; none (m = 0) when the curve is undefined."""
+    if fit.sigma.a22 > 0:
+        return _sroc_array(fit.beta, fit.sigma, SROC_GRID)
+    warn_sink.append("sroc curve omitted: between-study specificity variance is zero")
+    return np.empty((0, 2))
 
 
 def _captured(fn, *args):
@@ -220,14 +218,30 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     return report, plot
 
 
-def _px(fpr: float, sens: float) -> tuple[float, float]:
-    """Canvas position of an ROC-space point: the 420-pixel plot square sits at (40, 20)."""
-    return 40 + 420 * fpr, 20 + 420 * (1 - sens)
+def _report_json(report: dict) -> str:
+    """json.dumps(report, indent=2) and a newline; report["sroc"] is an (m, 2) array.
+
+    json with indent encodes one float at a time in Python, so the SROC pairs go
+    through a template instead: JSON writes a finite float as float.__repr__ does.
+    """
+    sroc = report["sroc"]
+    if len(sroc) == 0 or not np.isfinite(sroc).all():
+        return json.dumps({**report, "sroc": sroc.tolist()}, indent=2) + "\n"
+    text = json.dumps({**report, "sroc": []}, indent=2) + "\n"
+    pair = "    [\n      %r,\n      %r\n    ]"
+    pairs = ",\n".join([pair] * len(sroc)) % tuple(sroc.ravel().tolist())
+    # a "sroc" inside a JSON string has its quotes escaped, so only the key matches
+    return text.replace('"sroc": []', '"sroc": [\n' + pairs + "\n  ]", 1)
 
 
-def _svg_path(points: Sequence[tuple[float, float]], close: bool) -> str:
-    px = ["%.3f,%.3f" % _px(fpr, sens) for fpr, sens in points]
-    return "M" + " L".join(px) + ("Z" if close else "")
+def _canvas(roc: np.ndarray) -> np.ndarray:
+    """Canvas positions of (m, 2) ROC-space points: the 420-pixel plot square sits at (40, 20)."""
+    return np.column_stack([40 + 420 * roc[:, 0], 20 + 420 * (1 - roc[:, 1])])
+
+
+def _svg_path(roc: np.ndarray, close: bool) -> str:
+    xy = _canvas(roc)
+    return "M" + " L".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist()) + ("Z" if close else "")
 
 
 def _render_svg(d: Dataset, plot: dict) -> str:
@@ -240,8 +254,8 @@ def _render_svg(d: Dataset, plot: dict) -> str:
         '<rect x="0" y="0" width="500" height="500" fill="white"/>',
         '<rect x="40" y="20" width="420" height="420" fill="none" stroke="#444"/>',
     ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x, y = _px(frac, frac)
+    fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for frac, (x, y) in zip(fracs, _canvas(np.column_stack([fracs, fracs])).tolist()):
         parts.append(
             f'<text x="{x:.0f}" y="455" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{frac:g}</text>'
@@ -258,25 +272,24 @@ def _render_svg(d: Dataset, plot: dict) -> str:
         '<text x="12" y="230" font-family="sans-serif" font-size="13" text-anchor="middle" '
         'transform="rotate(-90 12 230)">Sensitivity</text>'
     )
-    if plot["sroc"]:
+    if len(plot["sroc"]):
         parts.append(
             f'<path d="{_svg_path(plot["sroc"], close=False)}" fill="none" '
             'stroke="#333333" stroke-width="1.5"/>'
         )
     for region, color in ((plot["ncr"], "#1f77b4"), (plot["ccr"], "#d62728")):
-        pts = to_roc_space(region_boundary(region, BOUNDARY_POINTS))
+        roc = _roc_array(region_boundary(region, BOUNDARY_POINTS))
         parts.append(
-            f'<path d="{_svg_path(pts, close=True)}" fill="none" stroke="{color}" '
+            f'<path d="{_svg_path(roc, close=True)}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-    for st in d.studies:
-        x, y = _px(*to_roc_space([(st.y_a, st.y_b)])[0])
+    for st, (x, y) in zip(d.studies, _canvas(_roc_array(d.arrays()[0])).tolist()):
         label = escape(st.id or "study")
         parts.append(
             f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3.5" fill="#888888" fill-opacity="0.7">'
             f"<title>{label}</title></circle>"
         )
-    x, y = _px(*to_roc_space([fit.beta])[0])
+    [(x, y)] = _canvas(_roc_array([fit.beta])).tolist()
     parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#000000"/>')
     legend = [("NCR", "#1f77b4"), ("CCR", "#d62728"), ("SROC", "#333333")]
     for i, (name, color) in enumerate(legend):
@@ -292,7 +305,7 @@ def _render_svg(d: Dataset, plot: dict) -> str:
 def cmd_fit(args: argparse.Namespace) -> int:
     d = _read_fittable(args.input)
     report, plot = _fit_report(d, args.alpha, args.estimator)
-    outputs = [(json.dumps(report, indent=2) + "\n", args.json)]
+    outputs = [(_report_json(report), args.json)]
     if args.svg is not None:
         outputs.append((_render_svg(d, plot), args.svg))
     _emit(outputs)
@@ -307,15 +320,11 @@ def cmd_region(args: argparse.Namespace) -> int:
     d = _read_fittable(args.input)
     (region, _), messages = _captured(confidence_region, d, args.method, args.alpha, "moment_bc")
     sys.stderr.writelines(f"warning: {m}\n" for m in dict.fromkeys(messages))
-    pts = region_boundary(region, args.points)
+    header, pts = "y_sens,y_spec", region_boundary(region, args.points)
     if args.space == "roc":
-        header = "fpr,sensitivity"
-        rows = to_roc_space(pts)
-    else:
-        header = "y_sens,y_spec"
-        rows = [(p[0], p[1]) for p in pts]
-    lines = [header] + [f"{u:.17g},{v:.17g}" for u, v in rows]
-    _emit([("\n".join(lines) + "\n", args.out)])
+        header, pts = "fpr,sensitivity", _roc_array(pts)
+    rows = "%.17g,%.17g\n" * len(pts) % tuple(pts.ravel().tolist())
+    _emit([(header + "\n" + rows, args.out)])
     return 0
 
 

@@ -21,10 +21,13 @@ def logit(p: float) -> float:
 
 def expit(x: float) -> float:
     """Inverse of logit, numerically stable for large |x|."""
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    return float(_expit(np.float64(x)))
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """expit elementwise: exp of -|x| only, so nothing overflows and no warning is raised."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def summarize_counts(tp: int, fn: int, fp: int, tn: int, cc: float = 0.5, id: str = "") -> Study:
@@ -48,12 +51,34 @@ def summarize_counts(tp: int, fn: int, fp: int, tn: int, cc: float = 0.5, id: st
     return Study(y_a=y_a, y_b=y_b, s_a=s_a, s_b=s_b, id=id)
 
 
+def _roc_array(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """(m, 2) array of the (fpr, sensitivity) of logit-scale points (u, v); see to_roc_space."""
+    p = np.asarray(points, dtype=float)
+    if p.size and p.shape[1:] != (2,):
+        raise ValueError(f"expected (u, v) pairs, got an array of shape {p.shape}")
+    p = p.reshape(-1, 2)
+    return np.column_stack([1.0 - _expit(p[:, 1]), _expit(p[:, 0])])
+
+
 def to_roc_space(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
     """Map logit-scale points (u, v) to ROC coordinates (fpr, sensitivity).
 
     u is logit sensitivity and v logit specificity, so fpr = 1 - expit(v).
     """
-    return [(1.0 - expit(float(v)), expit(float(u))) for u, v in points]
+    return list(map(tuple, _roc_array(points).tolist()))
+
+
+def _sroc_array(beta: Sequence[float], sigma: Sym2, fpr_grid: Sequence[float]) -> np.ndarray:
+    """(m, 2) array of the (fpr, sensitivity) points of the SROC curve; see sroc_curve."""
+    if sigma.a22 <= 0:
+        raise ValueError("sroc_curve requires a positive specificity variance component")
+    t = np.asarray(fpr_grid, dtype=float)
+    bad = ~((t > 0.0) & (t < 1.0))
+    if bad.any():
+        raise ValueError(f"fpr grid point {float(t[bad][0])} outside (0, 1)")
+    mu_b = np.log((1.0 - t) / (1.0 - (1.0 - t)))  # logit(1 - t), rounded as logit rounds it
+    sens = _expit(float(beta[0]) + sigma.a12 / sigma.a22 * (mu_b - float(beta[1])))
+    return np.column_stack([t, sens])
 
 
 def sroc_curve(
@@ -66,15 +91,4 @@ def sroc_curve(
     the second: expit(beta_a + (sigma12/sigma22) (mu_b - beta_b)). The curve
     passes through the summary point and is monotone in t when sigma12 > 0.
     """
-    if sigma.a22 <= 0:
-        raise ValueError("sroc_curve requires a positive specificity variance component")
-    slope = sigma.a12 / sigma.a22
-    beta_a, beta_b = float(beta[0]), float(beta[1])
-    out = []
-    for t in fpr_grid:
-        t = float(t)
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"fpr grid point {t} outside (0, 1)")
-        mu_b = logit(1.0 - t)
-        out.append((t, expit(beta_a + slope * (mu_b - beta_b))))
-    return out
+    return list(map(tuple, _sroc_array(beta, sigma, fpr_grid).tolist()))

@@ -214,6 +214,34 @@ class TestFitCommand:
         rep = json.loads(out.read_text())
         assert rep["estimator"] == "moment_bc"
 
+    @pytest.mark.parametrize(
+        "table,estimator,n_sroc",
+        [
+            ("synthetic14.csv", "moment", 199),
+            ("synthetic14.csv", "reml", 199),
+            ("synthetic14.csv", "both", 199),
+            ("identical.csv", "moment", 0),  # sroc omitted, clamp warning
+        ],
+    )
+    def test_json_file_is_json_dumps_indent_2(
+        self, capsys, fixtures_dir, tmp_path, table, estimator, n_sroc
+    ):
+        out = tmp_path / "report.json"
+        argv = ["fit", "--input", str(fixtures_dir / table), "--estimator", estimator]
+        assert main([*argv, "--json", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        rep = json.loads(text)
+        assert text == json.dumps(rep, indent=2) + "\n"
+        assert len(rep["sroc"]) == n_sroc
+        assert len(rep["warnings"]) == (2 if n_sroc == 0 else 0)
+
+    @pytest.mark.parametrize("sroc", [[[0.005, 0.25], [0.995, 1.0]], [], [[0.5, math.nan]]])
+    def test_report_writer_matches_json_dumps(self, sroc):
+        # a message quoting the key and a non-finite point must not change the bytes
+        report = {"beta": [0.1, -2.5e-300], "sroc": sroc, "warnings": ['"sroc": [] in a message']}
+        array = np.array(sroc, dtype=float).reshape(-1, 2)
+        assert cli._report_json({**report, "sroc": array}) == json.dumps(report, indent=2) + "\n"
+
     @pytest.mark.parametrize("estimator,alpha", [("moment", "0.05"), ("both", "0.2")])
     def test_ncr_region_matches_public_fit(self, capsys, fixtures_dir, estimator, alpha):
         path = str(fixtures_dir / "synthetic14.csv")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,16 @@ from dtameta import DataError, Study, expit, logit, sroc_curve, summarize_counts
 from dtameta.model import Sym2
 
 LN9 = 2.1972245773362196
+# one unit in the last place of numbers near 1; np.exp and math.exp may differ by one ulp
+ULP1 = 2.0**-52
+
+
+def scalar_expit(x):
+    """The scalar, math.exp form of expit: the reference for the array kernel."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 class TestLogitExpit:
@@ -98,6 +109,35 @@ class TestRocSpace:
         assert len(pts) == 2
         assert pts[0] == pytest.approx((0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "points", [[(1, 2, 3)], [(1,)], [(1.0, 2.0), (1.0, 2.0, 3.0)], [(1.0,), (1.0, 2.0)]]
+    )
+    def test_rejects_points_that_are_not_pairs(self, points):
+        with pytest.raises(ValueError):
+            to_roc_space(points)
+
+    @pytest.mark.parametrize("points", [[(0.3, -1.2), (2, 1)], np.array([[0.3, -1.2], [2.0, 1.0]])])
+    def test_returns_a_list_of_float_tuples(self, points):
+        pts = to_roc_space(points)
+        assert type(pts) is list
+        assert all(type(p) is tuple and len(p) == 2 for p in pts)
+        assert all(type(x) is float for p in pts for x in p)
+        assert to_roc_space([]) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_logits_saturate_without_warnings(self):
+        assert to_roc_space([(800.0, -800.0), (-800.0, 800.0)]) == [(1.0, 1.0), (0.0, 0.0)]
+        assert to_roc_space([(-1e308, 1e308), (math.inf, -math.inf)]) == [(0.0, 0.0), (1.0, 1.0)]
+        assert (expit(-800.0), expit(800.0)) == (0.0, 1.0)
+
+    @given(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)), max_size=20))
+    def test_matches_the_scalar_loop(self, points):
+        # the loop the array kernel replaced; np.exp may round differently in the last place
+        expected = [(1.0 - scalar_expit(v), scalar_expit(u)) for u, v in points]
+        got = to_roc_space(points)
+        assert np.asarray(got) == pytest.approx(np.asarray(expected), rel=4 * ULP1, abs=2 * ULP1)
+        assert [sens for _, sens in got] == [expit(u) for u, _ in points]
+
 
 class TestSrocCurve:
     def test_passes_through_summary_point(self):
@@ -132,9 +172,26 @@ class TestSrocCurve:
 
     def test_rejects_fpr_outside_open_interval(self):
         sigma = Sym2(0.4, 0.1, 0.3)
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 sroc_curve((1.0, 1.0), sigma, [bad])
+
+    @pytest.mark.parametrize("grid,named", [([0.2, math.nan, 0.0], "nan"), ([0.2, 1.5, math.nan], "1.5")])
+    def test_error_names_the_first_bad_point(self, grid, named):
+        with pytest.raises(ValueError, match=f"fpr grid point {named} outside"):
+            sroc_curve((1.0, 1.0), Sym2(0.4, 0.1, 0.3), grid)
+
+    @given(
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-0.9, 0.9),
+        st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=20),
+    )
+    def test_matches_the_scalar_loop(self, beta_a, beta_b, rho, grid):
+        # the loop the array kernel replaced, with logit and the math.exp expit
+        sigma = Sym2(0.5, rho * math.sqrt(0.5 * 0.3), 0.3)
+        slope = sigma.a12 / sigma.a22
+        expected = [(t, scalar_expit(beta_a + slope * (logit(1.0 - t) - beta_b))) for t in grid]
+        got = sroc_curve((beta_a, beta_b), sigma, grid)
+        assert np.asarray(got) == pytest.approx(np.asarray(expected), rel=4 * ULP1, abs=2 * ULP1)
 
 
 class TestStudyValidation:

@@ -7,9 +7,12 @@ Usage:
 SRC is a directory holding the dtameta package, such as a checkout's src/.
 Each command runs in a fresh interpreter with PYTHONPATH=SRC and with
 OUTDIR/<name> as its working directory, where it writes its output files;
-its stdout, stderr and exit code are saved beside them. The input table is
-this checkout's tests/fixtures/synthetic14.csv for every SRC, so two runs
-differ only in the code they load. Occurrences of the
+its stdout, stderr and exit code are saved beside them. The input tables are
+this checkout's tests/fixtures/*.csv for every SRC, so two runs differ only
+in the code they load. Besides synthetic14.csv, fit --svg and region --space
+roc also run on identical.csv (equal studies: the covariance clamp fires and
+the SROC curve is omitted) and on saturated.csv (logits beyond +-40, where
+expit rounds to 0 or 1). Occurrences of the
 SRC path in the captured text are replaced by the literal "$SRC". A change
 that should keep every output byte-identical is checked by running this on
 both trees and comparing:
@@ -29,7 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-FIXTURE = str(Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "synthetic14.csv")
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+FIXTURE = str(FIXTURES / "synthetic14.csv")
 
 _MC_COVERAGE = """
 from dtameta.cli import validation_preset
@@ -82,6 +86,12 @@ def _commands() -> list[tuple[str, list[str]]]:
             cmds.append((f"region_{method}_{space}", cli + [
                 "region", "--input", FIXTURE, "--method", method, "--space", space,
                 "--out", "region.csv"]))
+    for table in ("identical", "saturated"):
+        path = str(FIXTURES / f"{table}.csv")
+        cmds.append((f"fit_{table}", cli + ["fit", "--input", path, "--json", "fit.json",
+                                             "--svg", "fit.svg"]))
+        cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
+                                                   "--out", "region.csv"]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
                                            "--n", "8,16", "--reps", "300", "--seed", "7"]))
     cmds.append(("simulate_edges", cli + ["simulate", "--tau2", "0,0.8", "--rho", "-0.5",
