@@ -176,7 +176,9 @@ class TestSrocCurve:
             with pytest.raises(ValueError):
                 sroc_curve((1.0, 1.0), sigma, [bad])
 
-    @pytest.mark.parametrize("grid,named", [([0.2, math.nan, 0.0], "nan"), ([0.2, 1.5, math.nan], "1.5")])
+    @pytest.mark.parametrize(
+        "grid,named", [([0.2, math.nan, 0.0], "nan"), ([0.2, 1.5, math.nan], "1.5")]
+    )
     def test_error_names_the_first_bad_point(self, grid, named):
         with pytest.raises(ValueError, match=f"fpr grid point {named} outside"):
             sroc_curve((1.0, 1.0), Sym2(0.4, 0.1, 0.3), grid)

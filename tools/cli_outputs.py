@@ -12,7 +12,7 @@ this checkout's tests/fixtures/*.csv for every SRC, so two runs differ only
 in the code they load. Besides synthetic14.csv, fit --svg and region --space
 roc also run on identical.csv (equal studies: the covariance clamp fires and
 the SROC curve is omitted) and on saturated.csv (logits beyond +-40, where
-expit rounds to 0 or 1). Occurrences of the
+the ROC coordinates round to exactly 1). Occurrences of the
 SRC path in the captured text are replaced by the literal "$SRC". A change
 that should keep every output byte-identical is checked by running this on
 both trees and comparing:
