@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -225,34 +226,101 @@ def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
     # LAPACK inv and solve, not _precisions' closed forms: a change in the
     # objective's last bits moves the simplex path and REML's estimate by up
     # to 2.4e-8 relative. ROADMAP item 3 replaces this objective.
-    d = _d_stack(s, _sigma_of(theta))
+    l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
+    s12 = l11 * l21
+    d = np.empty((len(s), 2, 2))
+    np.add(s[:, 0], l11 * l11, out=d[:, 0, 0])
+    d[:, 0, 1] = d[:, 1, 0] = s12
+    np.add(s[:, 1], l21 * l21 + l22 * l22, out=d[:, 1, 1])
     try:
         g = np.linalg.inv(d)
     except np.linalg.LinAlgError:
         return math.inf
     a = g.sum(axis=-3)
-    det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] ** 2
-    det_a = a[0, 0] * a[1, 1] - a[0, 1] ** 2
-    if (det <= 0).any() or det_a <= 0:
+    det = d[:, 0, 0] * d[:, 1, 1] - s12 * s12
+    (a11, a12), (_, a22) = a.tolist()
+    det_a = a11 * a22 - a12**2
+    if det_a <= 0 or np.count_nonzero(det <= 0):
         return math.inf
-    beta = np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y)[..., None])[..., 0]
+    beta = np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y))
     r = y - beta
     quad = float(np.einsum("ia,iab,ib->", r, g, r))
     return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
+
+
+class _OutOfEvaluations(Exception):
+    """_nelder_mead's evaluation budget is spent."""
+
+
+def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], str | None]:
+    """scipy 1.17.1's minimize(f, x0, method="Nelder-Mead"), iterate for iterate, on Python floats.
+
+    Options xatol 1e-8, fatol 1e-12, maxiter max_iter, maxfev 4 max_iter. Ranks by np.argsort,
+    which may reorder ties, as scipy does; sums the centroid left to right, which sum() does
+    not from Python 3.12. Returns the best vertex and None, or scipy's message on a cap.
+    """
+    n, budget = len(x0), 4 * max_iter
+
+    def fun(x):
+        nonlocal nfev
+        if nfev >= budget:
+            raise _OutOfEvaluations
+        nfev += 1
+        return f(x)
+
+    def ranked(sim, fsim):
+        order = np.array(fsim).argsort()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    def step(a, c):  # a m + c w, from the centroid m and the worst vertex w
+        return [a * mk + c * wk for mk, wk in zip(m, sim[-1])]
+
+    sim = [list(x0) for _ in range(n + 1)]
+    for k in range(n):
+        sim[k + 1][k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = [f(x) if k < budget else math.inf for k, x in enumerate(sim)]
+    nfev = min(budget, n + 1)
+    sim, fsim = ranked(*ranked(sim, fsim))  # twice, as scipy does: ties may move
+    iterations = 1
+    while nfev < budget and iterations < max_iter:
+        try:
+            if all(abs(v - c) <= 1e-8 for x in sim[1:] for v, c in zip(x, sim[0])) and all(
+                abs(fsim[0] - fx) <= 1e-12 for fx in fsim[1:]
+            ):
+                break
+            m = [reduce(lambda p, q: p + q, col) / n for col in zip(*sim[:-1])]
+            fr = fun(xr := step(2, -1))
+            if fr < fsim[0]:
+                fe = fun(xe := step(3, -2))
+                sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fr
+            else:
+                inside = not fr < fsim[-1]
+                fc = fun(xc := step(0.5, 0.5) if inside else step(1.5, -0.5))
+                if fc < fsim[-1] if inside else fc <= fr:
+                    sim[-1], fsim[-1] = xc, fc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [bk + 0.5 * (vk - bk) for bk, vk in zip(sim[0], sim[j])]
+                        fsim[j] = fun(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = ranked(sim, fsim)
+    cap = "function evaluations" if nfev >= budget else "iterations" if iterations >= max_iter else None
+    return sim[0], cap and f"Maximum number of {cap} has been exceeded."
 
 
 def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     """Restricted maximum likelihood estimate of the between-study covariance.
 
     The covariance is parameterized as L L' with the diagonal of L on the log
-    scale, which keeps every iterate PSD, and maximized with a derivative-free
-    simplex search started at the PSD-projected moment estimate. If the
-    optimizer stops on its iteration cap a RemlConvergenceWarning is emitted
-    and the best iterate is returned.
+    scale, which keeps every iterate PSD, and maximized from the PSD-projected
+    moment estimate by _nelder_mead, which repeats scipy's Nelder-Mead simplex
+    bit for bit. If it stops on its cap of max_iter iterations or 4 max_iter
+    evaluations, a RemlConvergenceWarning is emitted and the best vertex is returned.
     """
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import minimize
-
     if d.n < 3:
         raise DataError("REML needs at least 3 studies")
     y, s = d.arrays()
@@ -262,22 +330,13 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     # the PSD-projected moment estimate, symmetrized as bias_corrected_sigma returns it
     start_sigma = Sym2.from_array(_psd_clamp(_moment_bc_array(y, s))[0]).as_array()
     l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
-    theta0 = np.array([math.log(l[0, 0]), l[1, 0], math.log(l[1, 1])])
+    theta0 = [math.log(l[0, 0]), float(l[1, 0]), math.log(l[1, 1])]
 
-    res = minimize(
-        _restricted_nll,
-        theta0,
-        args=(y, s),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
-    )
-    if not res.success:
-        warnings.warn(
-            f"REML simplex stopped before convergence: {res.message}",
-            RemlConvergenceWarning,
-            stacklevel=2,
-        )
-    return Sym2.from_array(_sigma_of(res.x))
+    x, stopped = _nelder_mead(lambda theta: _restricted_nll(theta, y, s), theta0, max_iter)
+    if stopped:
+        msg = f"REML simplex stopped before convergence: {stopped}"
+        warnings.warn(msg, RemlConvergenceWarning, stacklevel=2)
+    return Sym2.from_array(_sigma_of(x))
 
 
 def i_squared(within_vars: Sequence[float], tau2: float) -> float:

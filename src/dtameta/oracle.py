@@ -198,8 +198,9 @@ def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
 
 def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """((tr K)^2, tr K^2, tr K) of each K in a (..., 2, 2) stack."""
-    tr_k = k[..., 0, 0] + k[..., 1, 1]
-    return tr_k * tr_k, np.einsum("...ab,...ba->...", k, k), tr_k
+    k11, k22 = k[..., 0, 0], k[..., 1, 1]
+    tr_k = k11 + k22
+    return tr_k * tr_k, k11 * k11 + 2 * k[..., 0, 1] * k[..., 1, 0] + k22 * k22, tr_k
 
 
 def mc_b_moments(

@@ -642,20 +642,26 @@ class TestParser:
             main([])
         assert exc.value.code == 2
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy.optimize and scipy.special are most of the import time; only
-        # REML and chi-square quantiles with k != 2 need them
+    def test_import_leaves_scipy_unloaded(self, fixtures_dir, tmp_path):
+        # scipy.optimize and scipy.special are most of scipy's import time. No
+        # command needs scipy.optimize (REML runs an in-house simplex), and only
+        # chi-square quantiles with k != 2 need scipy.special
         src = str(Path(cli.__file__).resolve().parents[1])
+        fixture = str(fixtures_dir / "synthetic14.csv")
+        out = str(tmp_path / "fit.json")
+        loaded = "any(m in sys.modules for m in ('scipy.optimize', 'scipy.special'))"
         code = (
-            "import sys, dtameta.cli; "
-            "print(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"
+            f"import sys, dtameta.cli; print({loaded}); "
+            f"main = dtameta.cli.main(['fit', '--input', {fixture!r}, '--estimator', 'both', "
+            f"'--json', {out!r}]); print(main, {loaded})"
         )
         env = {**os.environ, "PYTHONPATH": src}
         res = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        assert res.stdout.split() == ["False", "0", "False"]
+        assert "reml" in json.loads(Path(out).read_text())
 
     def test_success_returns_int_zero(self, capsys, summary_table):
         code = main(["fit", "--input", summary_table])

@@ -24,7 +24,8 @@ from dtameta import (
 )
 from dtameta import regions
 from dtameta.cli import read_table
-from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll
+from dtameta import estimators
+from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll, _sigma_of
 
 
 def make_dataset(y, s):
@@ -323,6 +324,61 @@ class TestReml:
         assert type(sig.a11) is float
         assert type(sig.a12) is float
         assert type(sig.a22) is float
+
+
+def seeded_table(seed):
+    """A random table of 3 to 60 studies with unequal within-study variances."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 61))
+    s = rng.uniform(0.02, 0.5, size=(n, 2))
+    mu = rng.standard_normal((n, 2)) @ np.array([[0.6, 0.0], [0.3, rng.uniform(0.0, 0.5)]])
+    return make_dataset(mu + np.sqrt(s) * rng.standard_normal((n, 2)), s)
+
+
+class TestNelderMeadMatchesScipy:
+    """reml_sigma's in-house simplex against scipy's, which stays installed as the reference."""
+
+    def run_both(self, monkeypatch, d, max_iter):
+        from scipy.optimize import minimize
+
+        thetas = []
+
+        def counted(theta, y, s):
+            thetas.append(list(theta))
+            return _restricted_nll(theta, y, s)
+
+        monkeypatch.setattr(estimators, "_restricted_nll", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sig = reml_sigma(d, max_iter=max_iter)
+        monkeypatch.undo()
+        y, s = d.arrays()
+        # the first evaluation is at the start vertex
+        res = minimize(
+            _restricted_nll,
+            np.array(thetas[0]),
+            args=(y, s),
+            method="Nelder-Mead",
+            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
+        )
+        messages = [str(w.message) for w in caught if w.category is RemlConvergenceWarning]
+        return sig, len(thetas), messages, res
+
+    @pytest.mark.parametrize("seed", [None, *range(50)])
+    def test_estimate_is_scipy_bit_for_bit(self, monkeypatch, fixtures_dir, seed):
+        d = read_table(fixtures_dir / "synthetic14.csv") if seed is None else seeded_table(seed)
+        sig, _, _, res = self.run_both(monkeypatch, d, 500)
+        assert np.array_equal(sig.as_array(), _sigma_of(res.x))
+
+    @pytest.mark.parametrize("max_iter", [2, 3, 5, 10, 40])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_capped_runs_match_scipy(self, monkeypatch, fixtures_dir, seed, max_iter):
+        d = read_table(fixtures_dir / "synthetic14.csv") if seed is None else seeded_table(seed)
+        sig, nfev, messages, res = self.run_both(monkeypatch, d, max_iter)
+        assert np.array_equal(sig.as_array(), _sigma_of(res.x))
+        assert nfev == res.nfev
+        expected = [] if res.success else [f"REML simplex stopped before convergence: {res.message}"]
+        assert messages == expected
 
 
 class TestDatasetArrays:

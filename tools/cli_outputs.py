@@ -49,28 +49,40 @@ cfg, _, _ = validation_preset({preset!r}, 2000, 0)
 print(repr(mc_b_moments(cfg)))
 """
 
-# REML on the fixture and on 40 seeded random tables of 5 to 30 studies
+# REML on the fixture and on 40 seeded random tables of 5 to 30 studies, then
+# capped at max_iter 2, 5 and 40 on the fixture and tables 00-04, where each
+# warning's class and full message are printed too
 _REML_TABLES = """
 import warnings
 import numpy as np
 from dtameta import Dataset, Study, reml_sigma
 from dtameta.cli import read_table
 
-def show(name, d):
+def show(name, d, max_iter=500):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sig = reml_sigma(d)
+        sig = reml_sigma(d, max_iter=max_iter)
     names = sorted(set(w.category.__name__ for w in caught))
-    print(name, d.n, sig.a11.hex(), sig.a12.hex(), sig.a22.hex(), *names)
+    if max_iter == 500:
+        print(name, d.n, sig.a11.hex(), sig.a12.hex(), sig.a22.hex(), *names)
+        return
+    print(name, d.n, max_iter, sig.a11.hex(), sig.a12.hex(), sig.a22.hex())
+    for w in caught:
+        print("  ", w.category.__name__, str(w.message))
 
-show("synthetic14", read_table({fixture!r}))
+tables = [("synthetic14", read_table({fixture!r}))]
 for k in range(40):
     rng = np.random.default_rng(k)
     n = int(rng.integers(5, 31))
     s = rng.uniform(0.02, 0.5, size=(n, 2))
     mu = rng.standard_normal((n, 2)) @ np.array([[0.6, 0.0], [0.3, 0.5]])
     y = mu + np.sqrt(s) * rng.standard_normal((n, 2))
-    show(f"table{{k:02d}}", Dataset(Study(*y[i], *s[i], id=str(i)) for i in range(n)))
+    tables.append((f"table{{k:02d}}", Dataset(Study(*y[i], *s[i], id=str(i)) for i in range(n))))
+for name, d in tables:
+    show(name, d)
+for max_iter in (2, 5, 40):
+    for name, d in tables[:6]:
+        show(name, d, max_iter)
 """
 
 
