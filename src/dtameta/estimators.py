@@ -272,7 +272,7 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
         order = np.array(fsim).argsort()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
-    def step(a, c):  # a m + c w, from the centroid m and the worst vertex w
+    def step(a, c):  # a m + c w from the centroid m and worst vertex w; equals a m - |c| w
         return [a * mk + c * wk for mk, wk in zip(m, sim[-1])]
 
     sim = [list(x0) for _ in range(n + 1)]
@@ -298,7 +298,7 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
             else:
                 inside = not fr < fsim[-1]
                 fc = fun(xc := step(0.5, 0.5) if inside else step(1.5, -0.5))
-                if fc < fsim[-1] if inside else fc <= fr:
+                if (fc < fsim[-1]) if inside else (fc <= fr):
                     sim[-1], fsim[-1] = xc, fc
                 else:
                     for j in range(1, n + 1):

@@ -652,8 +652,8 @@ class TestParser:
         loaded = "any(m in sys.modules for m in ('scipy.optimize', 'scipy.special'))"
         code = (
             f"import sys, dtameta.cli; print({loaded}); "
-            f"main = dtameta.cli.main(['fit', '--input', {fixture!r}, '--estimator', 'both', "
-            f"'--json', {out!r}]); print(main, {loaded})"
+            f"rc = dtameta.cli.main(['fit', '--input', {fixture!r}, '--estimator', 'both', "
+            f"'--json', {out!r}]); print(rc, {loaded})"
         )
         env = {**os.environ, "PYTHONPATH": src}
         res = subprocess.run(

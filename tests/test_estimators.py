@@ -22,9 +22,8 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
-from dtameta import regions
+from dtameta import estimators, regions
 from dtameta.cli import read_table
-from dtameta import estimators
 from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll, _sigma_of
 
 

@@ -62,8 +62,8 @@ def show(name, d, max_iter=500):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sig = reml_sigma(d, max_iter=max_iter)
-    names = sorted(set(w.category.__name__ for w in caught))
     if max_iter == 500:
+        names = sorted(set(w.category.__name__ for w in caught))
         print(name, d.n, sig.a11.hex(), sig.a12.hex(), sig.a22.hex(), *names)
         return
     print(name, d.n, max_iter, sig.a11.hex(), sig.a12.hex(), sig.a22.hex())
