@@ -180,7 +180,7 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
         (ncr_reml, reml_fit), more = _captured(confidence_region, d, "ncr", alpha, "reml")
         messages += more
     ncr_moment = ConfidenceRegion(
-        ccr.center, ccr.shape, chi2_quantile(alpha, 2), h=0.0, alpha=alpha, method="ncr"
+        ccr.center, ccr.shape, chi2_quantile(alpha), h=0.0, alpha=alpha, method="ncr"
     )
 
     _, s = d.arrays()

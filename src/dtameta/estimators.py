@@ -253,11 +253,11 @@ class _OutOfEvaluations(Exception):
 
 
 def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], str | None]:
-    """scipy 1.17.1's minimize(f, x0, method="Nelder-Mead"), iterate for iterate, on Python floats.
+    """SciPy 1.17.1's minimize(f, x0, method="Nelder-Mead"), iterate for iterate, on Python floats.
 
     Options xatol 1e-8, fatol 1e-12, maxiter max_iter, maxfev 4 max_iter. Ranks by np.argsort,
-    which may reorder ties, as scipy does; sums the centroid left to right, which sum() does
-    not from Python 3.12. Returns the best vertex and None, or scipy's message on a cap.
+    which may reorder ties, as SciPy does; sums the centroid left to right, which sum() does
+    not from Python 3.12. Returns the best vertex and None, or SciPy's message on a cap.
     """
     n, budget = len(x0), 4 * max_iter
 
@@ -280,7 +280,7 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
         sim[k + 1][k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
     fsim = [f(x) if k < budget else math.inf for k, x in enumerate(sim)]
     nfev = min(budget, n + 1)
-    sim, fsim = ranked(*ranked(sim, fsim))  # twice, as scipy does: ties may move
+    sim, fsim = ranked(*ranked(sim, fsim))  # twice, as SciPy does: ties may move
     iterations = 1
     while nfev < budget and iterations < max_iter:
         try:
@@ -317,10 +317,12 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
 
     The covariance is parameterized as L L' with the diagonal of L on the log
     scale, which keeps every iterate PSD, and maximized from the PSD-projected
-    moment estimate by _nelder_mead, which repeats scipy's Nelder-Mead simplex
+    moment estimate by _nelder_mead, which repeats SciPy's Nelder-Mead simplex
     bit for bit. If it stops on its cap of max_iter iterations or 4 max_iter
     evaluations, a RemlConvergenceWarning is emitted and the best vertex is returned.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if d.n < 3:
         raise DataError("REML needs at least 3 studies")
     y, s = d.arrays()

@@ -247,33 +247,23 @@ def mc_b_moments(
     return BTerms(*map(float, means)), tuple(map(float, ses))
 
 
-def expansion_coverage(b: BTerms, h: float, x: float, k: int = 2) -> float:
+def expansion_coverage(b: BTerms, h: float, x: float) -> float:
     """Second-order coverage prediction for the region with threshold x(1 + h).
 
-    Evaluates  F_k(x) + h x f_k(x) + (b1/4 - b2/2 + 2 b3) f_{k+2}(x)
-                      - (b1/4 + b2/2) f_{k+4}(x)
-    where F_k, f_k are the chi-square(k) CDF and density. When h comes from
-    h_adjust the density terms cancel algebraically and the value is exactly
-    F_k(x); any other h predicts the miscoverage the correction removes.
+    Evaluates  F_2(x) + h x f_2(x) + (b1/4 - b2/2 + 2 b3) f_4(x)
+                      - (b1/4 + b2/2) f_6(x)
+    where F_2 is the chi-square(2) CDF and f_2, f_4, f_6 are the chi-square
+    densities with 2, 4 and 6 degrees of freedom, all in closed form. When h
+    comes from h_adjust the density terms cancel algebraically and the value
+    is exactly F_2(x); any other h predicts the miscoverage the correction removes.
     """
     if x <= 0:
         raise ValueError("threshold x must be positive")
-    if k == 2:
-        e = math.exp(-0.5 * x)
-        f_k = 0.5 * e
-        f_k2 = 0.25 * x * e
-        f_k4 = x * x * e / 16.0
-        cdf = 1.0 - e
-    else:
-        from scipy.stats import chi2
-
-        cdf = float(chi2.cdf(x, k))
-        f_k = float(chi2.pdf(x, k))
-        f_k2 = float(chi2.pdf(x, k + 2))
-        f_k4 = float(chi2.pdf(x, k + 4))
+    e = math.exp(-0.5 * x)
+    f2, f4, f6 = 0.5 * e, 0.25 * x * e, x * x * e / 16.0
     a = b.b1 / 4.0 - b.b2 / 2.0 + 2.0 * b.b3
     c = b.b1 / 4.0 + b.b2 / 2.0
-    return cdf + h * x * f_k + a * f_k2 - c * f_k4
+    return (1.0 - e) + h * x * f2 + a * f4 - c * f6
 
 
 def mc_coverage(
@@ -290,13 +280,11 @@ def mc_coverage(
     """
     if method not in ("ncr", "ccr"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    x = chi2_quantile(alpha)
     if cfg.reps < 100:
         raise ValueError("coverage estimation needs at least 100 replications")
 
     s = cfg.s_array()
-    x = chi2_quantile(alpha, 2)
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     x_ccr = x if method == "ccr" else None
     q = np.empty(cfg.reps)

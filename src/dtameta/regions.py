@@ -54,21 +54,15 @@ __all__ = [
 
 
 def chi2_quantile(alpha: float, k: int = 2) -> float:
-    """Upper-alpha quantile of chi-square with k degrees of freedom.
+    """Upper-alpha quantile of chi-square with 2 degrees of freedom: exactly -2 log(alpha).
 
-    For k = 2 the survival function is exp(-x/2), so the quantile is exactly
-    -2 log(alpha); other k go through the inverse incomplete gamma.
+    k stays, positional after alpha, because bench/worker.py passes 2; no other value is accepted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if k < 1:
-        raise ValueError("degrees of freedom must be a positive integer")
-    if k == 2:
-        return -2.0 * math.log(alpha)
-    # imported here: scipy.special is most of the package's import time
-    from scipy.special import gammainccinv
-
-    return float(2.0 * gammainccinv(k / 2.0, alpha))
+    if k != 2:
+        raise ValueError("the model is bivariate: k must be 2")
+    return -2.0 * math.log(alpha)
 
 
 def b_star(d: Dataset, sigma: Sym2) -> BTerms:
@@ -159,7 +153,7 @@ def _rep_fit(
     q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
     if x is None:
         return q, 0.0
-    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), 2, x)
+    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), x)
 
 
 def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
@@ -172,26 +166,27 @@ def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
     return coverage, math.sqrt(coverage * (1.0 - coverage) / q.size)
 
 
-def _h_value(b1, b2, b3, k: int, x: float):
+def _h_value(b1, b2, b3, x: float):
     """The h_adjust formula on floats or on arrays of trace terms, unvalidated and silent."""
-    return -(b1 / 4.0 - b2 / 2.0 + 2.0 * b3) / k + x * (b1 / 4.0 + b2 / 2.0) / (k * (k + 2.0))
+    return -(b1 / 4.0 - b2 / 2.0 + 2.0 * b3) / 2 + x * (b1 / 4.0 + b2 / 2.0) / 8.0
 
 
 def h_adjust(b: BTerms, k: int = 2, x: float | None = None) -> float:
-    """Relative threshold inflation for a k-variate region at threshold x.
+    """Relative threshold inflation for the bivariate region at threshold x.
 
-    h = -(1/k) (b1/4 - b2/2 + 2 b3) + x / (k (k + 2)) * (b1/4 + b2/2)
+    h = -(1/2) (b1/4 - b2/2 + 2 b3) + (x/8) (b1/4 + b2/2)
 
+    k stays, positional after b, because bench/worker.py passes 2; no other value is accepted.
     Warns when |h| > 1: the correction is asymptotic in n and a value that
     large means the expansion is being used far outside its accuracy range.
     """
+    if k != 2:
+        raise ValueError("the model is bivariate: k must be 2")
     if x is None:
-        x = chi2_quantile(0.05, k)
-    if k < 1:
-        raise ValueError("dimension k must be a positive integer")
+        x = chi2_quantile(0.05)
     if x <= 0:
         raise ValueError("threshold x must be positive")
-    h = _h_value(b.b1, b.b2, b.b3, k, x)
+    h = _h_value(b.b1, b.b2, b.b3, x)
     if abs(h) > 1.0:
         warnings.warn(
             f"threshold adjustment h = {h:.4g} exceeds 1 in magnitude; "
@@ -221,8 +216,7 @@ def confidence_region(
         raise ValueError(f"unknown method {method!r}")
     if estimator not in ("moment_bc", "reml"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    x = chi2_quantile(alpha)
     if method == "ccr" and estimator == "reml":
         raise ValueError(
             "the corrected region is defined around the moment estimator; "
@@ -232,12 +226,11 @@ def confidence_region(
     sigma = reml_sigma(d) if estimator == "reml" else bias_corrected_sigma(d)
     dmats, g, a, v = _checked_precisions(d, sigma)
     beta = _gls_mean(g, a, d.arrays()[0])
-    x = chi2_quantile(alpha, 2)
 
     b, h = None, 0.0
     if method == "ccr":
         b = _b_terms(dmats, g, v)
-        h = h_adjust(b, 2, x)
+        h = h_adjust(b, x=x)
         if 1.0 + h <= 0.0:
             raise RegionUndefinedError(
                 f"corrected threshold factor 1 + h = {1.0 + h:.4g} is not positive"

@@ -191,7 +191,7 @@ def _draw_block(sc: Scenario, reps: range, chol: np.ndarray) -> tuple[np.ndarray
 
 
 def _run_scenario(sc: Scenario) -> GridResult:
-    x = chi2_quantile(sc.alpha, 2)
+    x = chi2_quantile(sc.alpha)
     chol = _sigma_chol(sc.tau2, sc.rho)
     q = np.empty(sc.reps)
     h = np.empty(sc.reps)

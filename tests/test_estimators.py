@@ -314,6 +314,12 @@ class TestReml:
             sig = reml_sigma(d, max_iter=2)
         assert sig.is_psd()
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, fixtures_dir, max_iter):
+        d = read_table(fixtures_dir / "synthetic14.csv")
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            reml_sigma(d, max_iter=max_iter)
+
     def test_result_fields_are_plain_floats(self):
         rng = np.random.default_rng(79)
         d = draw_dataset(rng, 10, Sym2(0.5, 0.2, 0.6), 0.15)
@@ -369,7 +375,7 @@ class TestNelderMeadMatchesScipy:
         sig, _, _, res = self.run_both(monkeypatch, d, 500)
         assert np.array_equal(sig.as_array(), _sigma_of(res.x))
 
-    @pytest.mark.parametrize("max_iter", [2, 3, 5, 10, 40])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 10, 40])
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
     def test_capped_runs_match_scipy(self, monkeypatch, fixtures_dir, seed, max_iter):
         d = read_table(fixtures_dir / "synthetic14.csv") if seed is None else seeded_table(seed)

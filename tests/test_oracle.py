@@ -14,7 +14,6 @@ from dtameta import (
     Sym2,
     b_star,
     bias_corrected_sigma,
-    chi2_quantile,
     expansion_coverage,
     h_adjust,
     mc_b_moments,
@@ -276,21 +275,6 @@ class TestExpansionCoverage:
                 h = h_adjust(b, 2, x)
             cov = expansion_coverage(b, h, x)
             assert cov == pytest.approx(1.0 - alpha_equiv, abs=1e-12)
-
-    def test_general_dof_branch_matches_closed_form(self):
-        b = BTerms(0.4, 0.5, 0.05)
-        h = 0.12
-        x = chi2_quantile(0.05, 4)
-        got = expansion_coverage(b, h, x, k=4)
-        e = math.exp(-0.5 * x)
-        cdf4 = 1.0 - e * (1.0 + x / 2.0)
-        f4 = x * e / 4.0
-        f6 = x * x * e / 16.0
-        f8 = x**3 * e / 96.0
-        a_term = b.b1 / 4.0 - b.b2 / 2.0 + 2.0 * b.b3
-        c_term = b.b1 / 4.0 + b.b2 / 2.0
-        expected = cdf4 + h * x * f4 + a_term * f6 - c_term * f8
-        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):

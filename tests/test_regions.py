@@ -54,19 +54,7 @@ class TestChi2Quantile:
         assert chi2_quantile(0.05) == X05
         assert chi2_quantile(0.5, 2) == -2.0 * math.log(0.5)
 
-    def test_four_dof_against_bisection(self):
-        # independent route: bisection on the closed-form CDF
-        target = 0.95
-        lo, hi = 0.0, 100.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if chi2_cdf_even(mid, 4) < target:
-                lo = mid
-            else:
-                hi = mid
-        assert chi2_quantile(0.05, 4) == pytest.approx(0.5 * (lo + hi), abs=1e-8)
-
-    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("k", [2])
     @pytest.mark.parametrize("alpha", [0.5, 0.1, 0.05, 0.01])
     def test_cdf_roundtrip(self, k, alpha):
         x = chi2_quantile(alpha, k)
@@ -80,8 +68,9 @@ class TestChi2Quantile:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 chi2_quantile(bad)
-        with pytest.raises(ValueError):
-            chi2_quantile(0.05, 0)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="bivariate"):
+                chi2_quantile(0.05, k)
 
 
 def b_star_reference(d: Dataset, sigma: Sym2):
@@ -248,8 +237,9 @@ class TestHAdjust:
         assert h > 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            h_adjust(BTerms(0.1, 0.1, 0.0), k=0)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="bivariate"):
+                h_adjust(BTerms(0.1, 0.1, 0.0), k=k)
         with pytest.raises(ValueError):
             h_adjust(BTerms(0.1, 0.1, 0.0), x=0.0)
 
