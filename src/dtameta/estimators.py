@@ -9,11 +9,13 @@ is a pure function of a Dataset (plus, where relevant, a candidate Sigma).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import (
     DataError,
@@ -221,31 +223,38 @@ def _sigma_of(theta: np.ndarray) -> np.ndarray:
     return np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
 
 
-def _restricted_nll(theta: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
-    """Negative restricted log-likelihood at Sigma = L L' in log-Cholesky coordinates."""
+def _restricted_nll(y: np.ndarray, s: np.ndarray):
+    """Negative restricted log-likelihood at Sigma = L L', as a function of log-Cholesky theta."""
     # LAPACK inv and solve, not _precisions' closed forms: a change in the
     # objective's last bits moves the simplex path and REML's estimate by up
-    # to 2.4e-8 relative. ROADMAP item 3 replaces this objective.
-    l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
-    s12 = l11 * l21
-    d = np.empty((len(s), 2, 2))
-    np.add(s[:, 0], l11 * l11, out=d[:, 0, 0])
-    d[:, 0, 1] = d[:, 1, 0] = s12
-    np.add(s[:, 1], l21 * l21 + l22 * l22, out=d[:, 1, 1])
-    try:
-        g = np.linalg.inv(d)
-    except np.linalg.LinAlgError:
-        return math.inf
-    a = g.sum(axis=-3)
-    det = d[:, 0, 0] * d[:, 1, 1] - s12 * s12
-    (a11, a12), (_, a22) = a.tolist()
-    det_a = a11 * a22 - a12**2
-    if det_a <= 0 or np.count_nonzero(det <= 0):
-        return math.inf
-    beta = np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y))
-    r = y - beta
-    quad = float(np.einsum("ia,iab,ib->", r, g, r))
-    return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
+    # to 2.4e-8 relative. ROADMAP item 3 replaces this objective. They are the
+    # gufuncs np.linalg wraps, with FloatingPointError for its LinAlgError.
+    inv = np.errstate(invalid="raise")(_umath_linalg.inv)
+    solve = np.errstate(invalid="raise")(_umath_linalg.solve1)
+    template = np.where(np.eye(2, dtype=bool), s[:, :, None], -0.0)  # -0.0 + x is x
+    d, sigma = np.empty_like(template), np.empty((2, 2))
+    d11, d22, flat = d[:, 0, 0], d[:, 1, 1], sigma.reshape(4)
+
+    def nll(theta) -> float:
+        l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
+        s12 = l11 * l21
+        flat[:] = l11 * l11, s12, s12, l21 * l21 + l22 * l22
+        try:
+            g = inv(np.add(template, sigma, out=d), signature="d->d")
+        except FloatingPointError:
+            return math.inf
+        a = g.sum(axis=-3)
+        det = d11 * d22 - s12 * s12
+        (a11, a12), (_, a22) = a.tolist()
+        det_a = a11 * a22 - a12**2
+        if det_a <= 0 or np.count_nonzero(det <= 0):
+            return math.inf
+        beta = solve(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")
+        r = y - beta
+        quad = float(np.einsum("ia,iab,ib->", r, g, r))
+        return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
+
+    return nll
 
 
 class _OutOfEvaluations(Exception):
@@ -269,7 +278,7 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
         return f(x)
 
     def ranked(sim, fsim):
-        order = np.array(fsim).argsort()
+        order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     def step(a, c):  # a m + c w from the centroid m and worst vertex w; equals a m - |c| w
@@ -288,7 +297,7 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
                 abs(fsim[0] - fx) <= 1e-12 for fx in fsim[1:]
             ):
                 break
-            m = [reduce(lambda p, q: p + q, col) / n for col in zip(*sim[:-1])]
+            m = [reduce(operator.add, col) / n for col in zip(*sim[:-1])]
             fr = fun(xr := step(2, -1))
             if fr < fsim[0]:
                 fe = fun(xe := step(3, -2))
@@ -334,7 +343,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
     theta0 = [math.log(l[0, 0]), float(l[1, 0]), math.log(l[1, 1])]
 
-    x, stopped = _nelder_mead(lambda theta: _restricted_nll(theta, y, s), theta0, max_iter)
+    x, stopped = _nelder_mead(_restricted_nll(y, s), theta0, max_iter)
     if stopped:
         msg = f"REML simplex stopped before convergence: {stopped}"
         warnings.warn(msg, RemlConvergenceWarning, stacklevel=2)

@@ -257,8 +257,8 @@ def expansion_coverage(b: BTerms, h: float, x: float) -> float:
     comes from h_adjust the density terms cancel algebraically and the value
     is exactly F_2(x); any other h predicts the miscoverage the correction removes.
     """
-    if x <= 0:
-        raise ValueError("threshold x must be positive")
+    if not (0 < x < math.inf and math.isfinite(h)):
+        raise ValueError("threshold x must be finite and positive, and h finite")
     e = math.exp(-0.5 * x)
     f2, f4, f6 = 0.5 * e, 0.25 * x * e, x * x * e / 16.0
     a = b.b1 / 4.0 - b.b2 / 2.0 + 2.0 * b.b3

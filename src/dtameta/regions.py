@@ -184,8 +184,8 @@ def h_adjust(b: BTerms, k: int = 2, x: float | None = None) -> float:
         raise ValueError("the model is bivariate: k must be 2")
     if x is None:
         x = chi2_quantile(0.05)
-    if x <= 0:
-        raise ValueError("threshold x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("threshold x must be finite and positive")
     h = _h_value(b.b1, b.b2, b.b3, x)
     if abs(h) > 1.0:
         warnings.warn(

@@ -266,6 +266,84 @@ def restricted_nll_reference(sigma_arr, y, s):
     return 0.5 * (total_logdet + quad + math.log(np.linalg.det(a)))
 
 
+def restricted_nll_frozen(theta, y, s):
+    """The REML objective as it was before it became a per-fit closure, kept verbatim."""
+    l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
+    s12 = l11 * l21
+    d = np.empty((len(s), 2, 2))
+    np.add(s[:, 0], l11 * l11, out=d[:, 0, 0])
+    d[:, 0, 1] = d[:, 1, 0] = s12
+    np.add(s[:, 1], l21 * l21 + l22 * l22, out=d[:, 1, 1])
+    try:
+        g = np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        return math.inf
+    a = g.sum(axis=-3)
+    det = d[:, 0, 0] * d[:, 1, 1] - s12 * s12
+    (a11, a12), (_, a22) = a.tolist()
+    det_a = a11 * a22 - a12**2
+    if det_a <= 0 or np.count_nonzero(det <= 0):
+        return math.inf
+    beta = np.linalg.solve(a, np.einsum("...iab,...ib->...a", g, y))
+    r = y - beta
+    quad = float(np.einsum("ia,iab,ib->", r, g, r))
+    return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
+
+
+# Sigma = 1e16 [[1, 1], [1, 1]] swamps s = 0.01, so every D_i rounds to a singular matrix
+SINGULAR_Y = np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.5]])
+SINGULAR_S = np.full((3, 2), 0.01)
+SINGULAR_THETA = [math.log(1e8), 1e8, -50.0]
+
+
+def boundary_tables():
+    """Tables drawn at tau2 = 0 (n = 3 and 5) and at a correlation of 0.999 (n = 12)."""
+    tables = []
+    for n in (3, 5):
+        rng = np.random.default_rng(n)
+        s = rng.uniform(0.02, 0.5, size=(n, 2))
+        tables.append((np.sqrt(s) * rng.standard_normal((n, 2)), s))
+    rng = np.random.default_rng(12)
+    s = rng.uniform(0.001, 0.01, size=(12, 2))
+    chol = np.linalg.cholesky(np.array([[0.5, 0.4995], [0.4995, 0.5]]))
+    tables.append((rng.standard_normal((12, 2)) @ chol.T + np.sqrt(s) * rng.standard_normal((12, 2)), s))
+    return tables
+
+
+class TestRestrictedNll:
+    """The per-fit objective against the frozen one: equal floats and equal warnings."""
+
+    @staticmethod
+    def evaluate(f, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = f(*args)
+        return value, [(w.category, str(w.message)) for w in caught]
+
+    def test_equal_to_frozen_objective(self):
+        tables = [seeded_table(seed).arrays() for seed in range(26)]
+        tables += boundary_tables() + [(SINGULAR_Y, SINGULAR_S)]
+        rng = np.random.default_rng(2024)
+        for y, s in tables:
+            nll = _restricted_nll(y, s)
+            thetas = [SINGULAR_THETA] + [list(rng.normal(-1.0, 2.0, 3)) for _ in range(120)]
+            thetas += [list(rng.uniform(-40.0, 40.0, 3)) for _ in range(40)]
+            for _ in range(39):  # log-diagonal up to 700, |l21| up to 1e300
+                l21 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+                thetas.append([rng.uniform(-700.0, 700.0), l21, rng.uniform(-700.0, 700.0)])
+            for theta in thetas:
+                new, new_warnings = self.evaluate(nll, theta)
+                ref, ref_warnings = self.evaluate(restricted_nll_frozen, theta, y, s)
+                assert new == ref or (math.isnan(new) and math.isnan(ref)), (theta, new, ref)
+                assert new_warnings == ref_warnings, theta
+
+    def test_infinite_and_silent_where_d_is_singular(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _restricted_nll(SINGULAR_Y, SINGULAR_S)(SINGULAR_THETA) == math.inf
+            assert restricted_nll_frozen(SINGULAR_THETA, SINGULAR_Y, SINGULAR_S) == math.inf
+
+
 class TestReml:
     def test_converges_on_fixture(self, fixtures_dir):
         d = read_table(fixtures_dir / "synthetic14.csv")
@@ -291,12 +369,9 @@ class TestReml:
         assert nll_hat <= restricted_nll_reference(moment.as_array(), y, s) + 1e-9
 
     def test_objective_is_infinite_where_d_is_singular(self):
-        # Sigma = 1e16 [[1, 1], [1, 1]] swamps s = 0.01, so every D_i rounds to
-        # a singular matrix: the simplex must see +inf, not a LinAlgError
-        y = np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.5]])
-        s = np.full((3, 2), 0.01)
-        theta = np.array([math.log(1e8), 1e8, -50.0])
-        assert _restricted_nll(theta, y, s) == math.inf
+        # the simplex must see +inf, not a LinAlgError
+        theta = np.array(SINGULAR_THETA)
+        assert _restricted_nll(SINGULAR_Y, SINGULAR_S)(theta) == math.inf
 
     def test_needs_three_studies(self):
         with pytest.raises(DataError):
@@ -348,9 +423,14 @@ class TestNelderMeadMatchesScipy:
 
         thetas = []
 
-        def counted(theta, y, s):
-            thetas.append(list(theta))
-            return _restricted_nll(theta, y, s)
+        def counted(y, s):
+            nll = _restricted_nll(y, s)
+
+            def f(theta):
+                thetas.append(list(theta))
+                return nll(theta)
+
+            return f
 
         monkeypatch.setattr(estimators, "_restricted_nll", counted)
         with warnings.catch_warnings(record=True) as caught:
@@ -360,9 +440,8 @@ class TestNelderMeadMatchesScipy:
         y, s = d.arrays()
         # the first evaluation is at the start vertex
         res = minimize(
-            _restricted_nll,
+            _restricted_nll(y, s),
             np.array(thetas[0]),
-            args=(y, s),
             method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
         )
@@ -372,8 +451,9 @@ class TestNelderMeadMatchesScipy:
     @pytest.mark.parametrize("seed", [None, *range(50)])
     def test_estimate_is_scipy_bit_for_bit(self, monkeypatch, fixtures_dir, seed):
         d = read_table(fixtures_dir / "synthetic14.csv") if seed is None else seeded_table(seed)
-        sig, _, _, res = self.run_both(monkeypatch, d, 500)
+        sig, nfev, _, res = self.run_both(monkeypatch, d, 500)
         assert np.array_equal(sig.as_array(), _sigma_of(res.x))
+        assert nfev == res.nfev
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 10, 40])
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])

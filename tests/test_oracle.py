@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 from dtameta import (
     BTerms,
@@ -277,8 +278,12 @@ class TestExpansionCoverage:
             assert cov == pytest.approx(1.0 - alpha_equiv, abs=1e-12)
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            expansion_coverage(BTerms(0.1, 0.1, 0.0), 0.0, 0.0)
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                expansion_coverage(BTerms(0.1, 0.1, 0.0), 0.0, x)
+        for h in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="h finite"):
+                expansion_coverage(BTerms(0.1, 0.1, 0.0), h, 1.0)
 
 
 PINNED_COVERAGE_CFG = OracleConfig(
@@ -336,19 +341,19 @@ class TestMcCoverage:
 
     def test_callers_that_drop_v_never_form_it(self, monkeypatch, fixtures_dir):
         # REML's objective and the naive region read the summed precision A,
-        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted,
-        # by LAPACK or by the closed-form _inv2
+        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted, by
+        # LAPACK's inv gufunc (which np.linalg.inv wraps) or by the closed-form _inv2
         shapes = []
 
         def counting(inv):
-            def counted(a):
+            def counted(a, **kwargs):
                 shapes.append(np.shape(a))
-                return inv(a)
+                return inv(a, **kwargs)
 
             return counted
 
         d = read_table(fixtures_dir / "synthetic14.csv")
-        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
+        monkeypatch.setattr(_umath_linalg, "inv", counting(_umath_linalg.inv))
         inv2 = counting(estimators._inv2)
         for module in (estimators, regions, oracle):
             monkeypatch.setattr(module, "_inv2", inv2)

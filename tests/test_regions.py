@@ -240,8 +240,9 @@ class TestHAdjust:
         for k in (0, 4):
             with pytest.raises(ValueError, match="bivariate"):
                 h_adjust(BTerms(0.1, 0.1, 0.0), k=k)
-        with pytest.raises(ValueError):
-            h_adjust(BTerms(0.1, 0.1, 0.0), x=0.0)
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                h_adjust(BTerms(0.1, 0.1, 0.0), x=x)
 
 
 class TestConfidenceRegion:

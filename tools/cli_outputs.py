@@ -9,13 +9,13 @@ Each command runs in a fresh interpreter with PYTHONPATH=SRC and with
 OUTDIR/<name> as its working directory, where it writes its output files;
 its stdout, stderr and exit code are saved beside them. The input tables are
 this checkout's tests/fixtures/*.csv for every SRC, so two runs differ only
-in the code they load. Besides synthetic14.csv, fit --svg and region --space
-roc also run on identical.csv (equal studies: the covariance clamp fires and
-the SROC curve is omitted) and on saturated.csv (logits beyond +-40, where
-the ROC coordinates round to exactly 1). Occurrences of the
-SRC path in the captured text are replaced by the literal "$SRC". A change
-that should keep every output byte-identical is checked by running this on
-both trees and comparing:
+in the code they load. Besides synthetic14.csv, fit --svg, fit --estimator
+both and region --space roc also run on identical.csv (equal studies: the
+covariance clamp fires, the SROC curve is omitted and REML exits 2) and on
+saturated.csv (logits beyond +-40, where the ROC coordinates round to exactly
+1). Occurrences of the SRC path in the captured text are replaced by the
+literal "$SRC". A change that should keep every output byte-identical is
+checked by running this on both trees and comparing:
 
     python3 tools/cli_outputs.py /path/to/parent/src /tmp/before
     python3 tools/cli_outputs.py src /tmp/after
@@ -49,9 +49,10 @@ cfg, _, _ = validation_preset({preset!r}, 2000, 0)
 print(repr(mc_b_moments(cfg)))
 """
 
-# REML on the fixture and on 40 seeded random tables of 5 to 30 studies, then
-# capped at max_iter 2, 5 and 40 on the fixture and tables 00-04, where each
-# warning's class and full message are printed too
+# REML on the fixture, on 40 seeded random tables of 5 to 30 studies and on 15
+# near-boundary ones (drawn at tau2 = 0 with n = 3 and 5, and at a correlation of
+# 0.999 with n = 12), then capped at max_iter 2, 5 and 40 on the fixture and
+# tables 00-04, where each warning's class and full message are printed too
 _REML_TABLES = """
 import warnings
 import numpy as np
@@ -78,6 +79,18 @@ for k in range(40):
     mu = rng.standard_normal((n, 2)) @ np.array([[0.6, 0.0], [0.3, 0.5]])
     y = mu + np.sqrt(s) * rng.standard_normal((n, 2))
     tables.append((f"table{{k:02d}}", Dataset(Study(*y[i], *s[i], id=str(i)) for i in range(n))))
+chol = np.linalg.cholesky(np.array([[0.5, 0.4995], [0.4995, 0.5]]))
+for k in range(5):
+    for n in (3, 5, 12):
+        rng = np.random.default_rng(1000 * n + k)
+        if n < 12:
+            s = rng.uniform(0.02, 0.5, size=(n, 2))
+            y = np.sqrt(s) * rng.standard_normal((n, 2))
+        else:
+            s = rng.uniform(0.001, 0.01, size=(n, 2))
+            y = rng.standard_normal((n, 2)) @ chol.T + np.sqrt(s) * rng.standard_normal((n, 2))
+        name = f"tau0_n{{n}}_{{k}}" if n < 12 else f"rho999_{{k}}"
+        tables.append((name, Dataset(Study(*y[i], *s[i], id=str(i)) for i in range(n))))
 for name, d in tables:
     show(name, d)
 for max_iter in (2, 5, 40):
@@ -102,6 +115,8 @@ def _commands() -> list[tuple[str, list[str]]]:
         path = str(FIXTURES / f"{table}.csv")
         cmds.append((f"fit_{table}", cli + ["fit", "--input", path, "--json", "fit.json",
                                              "--svg", "fit.svg"]))
+        cmds.append((f"fit_{table}_both", cli + ["fit", "--input", path, "--estimator", "both",
+                                                  "--json", "fit.json"]))
         cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
                                                    "--out", "region.csv"]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
