@@ -22,6 +22,7 @@ import numpy as np
 from .estimators import i_squared
 from .model import (
     ConfidenceRegion,
+    DataError,
     Dataset,
     FitResult,
     RegionUndefinedError,
@@ -53,10 +54,6 @@ EXIT_TOO_FEW = 3
 EXIT_NO_REGION = 4
 
 
-class _InputError(Exception):
-    """Malformed table or flag combination; maps to exit code 2."""
-
-
 class _TooFewError(Exception):
     """Fewer than 3 studies to fit; maps to exit code 3."""
 
@@ -67,31 +64,34 @@ def _parse_row(row: list[str], line: int, kind, what: str, build) -> Study:
     try:
         fields = [kind(v) for v in row[1:]]
     except ValueError:
-        raise _InputError(f"{where}: {what}, got {row[1:]}")
+        raise DataError(f"{where}: {what}, got {row[1:]}")
     try:
         return build(*fields, id=row[0])
     except ValueError as exc:  # covers DataError
-        raise _InputError(f"{where}: {exc}")
+        raise DataError(f"{where}: {exc}")
 
 
 def read_table(path: str) -> Dataset:
-    """Parse a study table in count or summary form, auto-detected from the header."""
+    """Parse a study table in count or summary form, auto-detected from the header.
+
+    An unreadable or malformed table raises DataError.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}")
+        raise DataError(f"cannot read {path}: {exc}")
     with fh:
         rows = [r for r in csv.reader(fh)]
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows:
-        raise _InputError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
     if header == COUNT_HEADER:
         kind, what, build = int, "counts must be integers", summarize_counts
     elif header in (SUMMARY_HEADER, _LOGIT_HEADER):
         kind, what, build = float, "summaries must be numeric", Study
     else:
-        raise _InputError(
+        raise DataError(
             f"{path}: unrecognized header {','.join(header)!r}; expected "
             f"{','.join(COUNT_HEADER)!r}, {','.join(SUMMARY_HEADER)!r} "
             f"or {','.join(_LOGIT_HEADER)!r}"
@@ -100,7 +100,7 @@ def read_table(path: str) -> Dataset:
     for i, row in enumerate(rows[1:], start=2):
         row = [cell.strip() for cell in row]
         if len(row) != 5:
-            raise _InputError(f"row {i}: expected 5 fields, got {len(row)}")
+            raise DataError(f"row {i}: expected 5 fields, got {len(row)}")
         studies.append(_parse_row(row, i, kind, what, build))
     return Dataset(studies)
 
@@ -118,7 +118,7 @@ def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
     try:
         _write_atomic([(path, text) for text, path in outputs if path is not None])
     except OSError as exc:
-        raise _InputError(f"cannot write {exc.filename}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {exc.filename}: {exc.strerror or exc}")
     for text, path in outputs:
         if path is None:
             sys.stdout.write(text)
@@ -134,7 +134,7 @@ def _default_seed(value: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise _InputError(f"DTA_SEED={env!r} is not an integer")
+        raise ValueError(f"DTA_SEED={env!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,10 @@ def _default_seed(value: int | None) -> int:
 
 def _sym_json(m: Sym2) -> list[list[float]]:
     return [[m.a11, m.a12], [m.a12, m.a22]]
+
+
+def _fit_json(fit: FitResult) -> dict:
+    return {"beta": [fit.beta[0], fit.beta[1]], "sigma": _sym_json(fit.sigma), "v": _sym_json(fit.v)}
 
 
 def _region_json(r: ConfidenceRegion) -> dict:
@@ -187,9 +191,7 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     primary = reml_fit if estimator == "reml" else moment_fit
     ncr_primary = ncr_reml if estimator == "reml" else ncr_moment
     report = {
-        "beta": [primary.beta[0], primary.beta[1]],
-        "sigma": _sym_json(primary.sigma),
-        "v": _sym_json(primary.v),
+        **_fit_json(primary),
         "estimator": primary.estimator,
         "h": moment_fit.h,
         "b_terms": {"b1": moment_fit.b.b1, "b2": moment_fit.b.b2, "b3": moment_fit.b.b3},
@@ -203,12 +205,7 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     }
     if estimator == "both":
         assert reml_fit is not None and ncr_reml is not None
-        report["reml"] = {
-            "beta": [reml_fit.beta[0], reml_fit.beta[1]],
-            "sigma": _sym_json(reml_fit.sigma),
-            "v": _sym_json(reml_fit.v),
-            "regions": {"ncr": _region_json(ncr_reml)},
-        }
+        report["reml"] = {**_fit_json(reml_fit), "regions": {"ncr": _region_json(ncr_reml)}}
     plot = {
         "fit": primary,
         "ncr": ncr_primary,
@@ -351,13 +348,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     combos = [(t, r, n) for t in args.tau2 for r in args.rho for n in args.n]
     child_seeds = np.random.SeedSequence(seed).generate_state(len(combos), np.uint64)
-    try:
-        scenarios = [
-            Scenario(tau2=t, rho=r, n=n, reps=args.reps, alpha=0.05, seed=int(child_seeds[i]))
-            for i, (t, r, n) in enumerate(combos)
-        ]
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    scenarios = [
+        Scenario(tau2=t, rho=r, n=n, reps=args.reps, alpha=0.05, seed=int(child_seeds[i]))
+        for i, (t, r, n) in enumerate(combos)
+    ]
     results = run_grid(scenarios)
     _emit([(grid_to_csv(results), args.out)])
     return 0
@@ -393,7 +387,7 @@ def validation_preset(
         sigma, sv = Sym2(0.0, 0.0, 0.0), [(0.2, 0.3)] * 8
         override, expected = sigma, (0.0, 0.0, 0.0)
     else:
-        raise _InputError(f"unknown preset {name!r}")
+        raise ValueError(f"unknown preset {name!r}")
     cfg = OracleConfig(
         n=len(sv), sigma_true=sigma, within_vars=tuple(map(tuple, sv)), reps=reps, seed=seed
     )
@@ -403,10 +397,7 @@ def validation_preset(
 def cmd_validate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     cfg, override, expected = validation_preset(args.preset, args.reps, seed)
-    try:
-        est, ses = mc_b_moments(cfg, sigma_hat_override=override)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    est, ses = mc_b_moments(cfg, sigma_hat_override=override)
     slack = 2.0 / cfg.n**2
     ok = True
     print(f"preset={args.preset} n={cfg.n} reps={cfg.reps} seed={seed}")
@@ -478,16 +469,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
     except _TooFewError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_TOO_FEW
     except RegionUndefinedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_REGION
-    except ValueError as exc:  # covers DataError and bad numeric flags
+    except ValueError as exc:  # covers DataError, bad flags and unwritable outputs
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
 

@@ -236,17 +236,17 @@ def _restricted_nll(y: np.ndarray, s: np.ndarray):
     d11, d22, flat = d[:, 0, 0], d[:, 1, 1], sigma.reshape(4)
 
     def nll(theta) -> float:
-        l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
-        s12 = l11 * l21
-        flat[:] = l11 * l11, s12, s12, l21 * l21 + l22 * l22
         try:
+            l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
+            s12 = l11 * l21
+            flat[:] = l11 * l11, s12, s12, l21 * l21 + l22 * l22
             g = inv(np.add(template, sigma, out=d), signature="d->d")
-        except FloatingPointError:
+            a = g.sum(axis=-3)
+            det = d11 * d22 - s12 * s12
+            (a11, a12), (_, a22) = a.tolist()
+            det_a = a11 * a22 - a12**2
+        except (FloatingPointError, OverflowError):  # singular D; exp or a12**2 past float range
             return math.inf
-        a = g.sum(axis=-3)
-        det = d11 * d22 - s12 * s12
-        (a11, a12), (_, a22) = a.tolist()
-        det_a = a11 * a22 - a12**2
         if det_a <= 0 or np.count_nonzero(det <= 0):
             return math.inf
         beta = solve(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")

@@ -17,6 +17,7 @@ import dtameta.cli as cli
 from dtameta import (
     BTerms,
     ConfidenceRegion,
+    DataError,
     FitResult,
     RegionUndefinedError,
     Sym2,
@@ -26,7 +27,7 @@ from dtameta import (
     summarize_counts,
     to_roc_space,
 )
-from dtameta.cli import main, read_table
+from dtameta.cli import main, read_table, validation_preset
 
 X05 = 5.991464547107982
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -78,6 +79,18 @@ def identical_table(tmp_path):
     return str(path)
 
 
+MALFORMED_TABLES = [
+    ("id,tp,fn,tn\na,1,2,3", "unrecognized header"),
+    ("id,tp,fn,fp,tn\na,9,1,1", "row 2"),
+    ("id,tp,fn,fp,tn\na,9,1,1,9\nb,9,x,1,9", "row 3"),
+    ("id,tp,fn,fp,tn\na,-1,1,1,9", "row 2"),
+    ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,0.0,0.3", "row 2"),
+    ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,oops,0.2,0.3", "row 2"),
+    ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,inf,0.3", "row 2"),
+    ("", "empty"),
+]
+
+
 def run_fit_json(capsys, *argv):
     code = main(["fit", *argv])
     out = capsys.readouterr().out
@@ -106,25 +119,23 @@ class TestReadTable:
         d = read_table(str(path))
         assert d.n == 2
 
-    @pytest.mark.parametrize(
-        "body,fragment",
-        [
-            ("id,tp,fn,tn\na,1,2,3", "unrecognized header"),
-            ("id,tp,fn,fp,tn\na,9,1,1", "row 2"),
-            ("id,tp,fn,fp,tn\na,9,1,1,9\nb,9,x,1,9", "row 3"),
-            ("id,tp,fn,fp,tn\na,-1,1,1,9", "row 2"),
-            ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,0.0,0.3", "row 2"),
-            ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,oops,0.2,0.3", "row 2"),
-            ("id,y_sens,y_spec,var_sens,var_spec\na,0.1,0.2,inf,0.3", "row 2"),
-            ("", "empty"),
-        ],
-    )
+    @pytest.mark.parametrize("body,fragment", MALFORMED_TABLES)
     def test_malformed_tables_exit_2(self, tmp_path, capsys, body, fragment):
         path = tmp_path / "bad.csv"
         path.write_text(body)
         code = main(["fit", "--input", str(path)])
         assert code == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,fragment", MALFORMED_TABLES + [(None, "cannot read")])
+    def test_bad_tables_raise_data_error(self, tmp_path, body, fragment):
+        # a library caller catches a public ValueError; None leaves the path missing
+        path = tmp_path / "bad.csv"
+        if body is not None:
+            path.write_text(body)
+        with pytest.raises(ValueError, match=fragment) as info:
+            read_table(str(path))
+        assert isinstance(info.value, DataError)
 
     @pytest.mark.parametrize("columns", ["y_sens,y_spec", "logit_sens,logit_spec"])
     def test_summary_headers(self, tmp_path, columns):
@@ -634,6 +645,10 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--preset", "bogus"])
         assert exc.value.code == 2
+
+    def test_unknown_preset_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown preset 'nope'"):
+            validation_preset("nope", 1000, 0)
 
 
 class TestParser:

@@ -343,6 +343,12 @@ class TestRestrictedNll:
             assert _restricted_nll(SINGULAR_Y, SINGULAR_S)(SINGULAR_THETA) == math.inf
             assert restricted_nll_frozen(SINGULAR_THETA, SINGULAR_Y, SINGULAR_S) == math.inf
 
+    @pytest.mark.parametrize("theta", [[710.0, 0.0, 0.0], [0.0, 0.0, 710.0]])
+    def test_infinite_where_exp_overflows(self, fixtures_dir, theta):
+        # math.exp raises OverflowError past 709.78; the simplex must see +inf instead
+        y, s = read_table(fixtures_dir / "synthetic14.csv").arrays()
+        assert _restricted_nll(y, s)(theta) == math.inf
+
 
 class TestReml:
     def test_converges_on_fixture(self, fixtures_dir):

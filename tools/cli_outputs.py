@@ -13,8 +13,11 @@ in the code they load. Besides synthetic14.csv, fit --svg, fit --estimator
 both and region --space roc also run on identical.csv (equal studies: the
 covariance clamp fires, the SROC curve is omitted and REML exits 2) and on
 saturated.csv (logits beyond +-40, where the ROC coordinates round to exactly
-1). Occurrences of the SRC path in the captured text are replaced by the
-literal "$SRC". A change that should keep every output byte-identical is
+1). The bad-input commands, each meant to exit 2, read short_row.csv (a row
+of 4 fields), bad_count.csv (a count of 2.5) and a missing file, write into a
+missing directory, and pass out-of-range flags or DTA_SEED=x; the last runs
+through a snippet, since every command runs with DTA_SEED unset. Occurrences
+of the SRC path in the captured text are replaced by the literal "$SRC". A change that should keep every output byte-identical is
 checked by running this on both trees and comparing:
 
     python3 tools/cli_outputs.py /path/to/parent/src /tmp/before
@@ -47,6 +50,13 @@ from dtameta.cli import validation_preset
 from dtameta.oracle import mc_b_moments
 cfg, _, _ = validation_preset({preset!r}, 2000, 0)
 print(repr(mc_b_moments(cfg)))
+"""
+
+_BAD_SEED = """
+import os, sys
+os.environ["DTA_SEED"] = "x"
+from dtameta.cli import main
+sys.exit(main({argv!r}))
 """
 
 # REML on the fixture, on 40 seeded random tables of 5 to 30 studies and on 15
@@ -134,6 +144,21 @@ def _commands() -> list[tuple[str, list[str]]]:
     for preset in ("homogeneous", "heterogeneous"):
         cmds.append((f"mc_b_moments_{preset}", ["-c", _MC_B_MOMENTS.format(preset=preset)]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
+    simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
+    for name, argv in [
+        ("short_row", ["fit", "--input", str(FIXTURES / "short_row.csv")]),
+        ("bad_count", ["fit", "--input", str(FIXTURES / "bad_count.csv")]),
+        ("missing_file", ["fit", "--input", "missing.csv"]),
+        ("unwritable_json", ["fit", "--input", FIXTURE, "--json", "missing/fit.json"]),
+        ("validate_reps_999", ["validate", "--preset", "homogeneous", "--reps", "999"]),
+        ("simulate_rho_1", simulate + ["--rho", "1", "--reps", "5"]),
+        ("simulate_reps_0", simulate + ["--rho", "0", "--reps", "0"]),
+        ("region_points_2", ["region", "--input", FIXTURE, "--points", "2"]),
+        ("fit_alpha_2", ["fit", "--input", FIXTURE, "--alpha", "2"]),
+    ]:
+        cmds.append((f"error_{name}", cli + argv))
+    seeded = _BAD_SEED.format(argv=simulate + ["--rho", "0", "--reps", "5"])
+    cmds.append(("error_dta_seed_x", ["-c", seeded]))
     return cmds
 
 
