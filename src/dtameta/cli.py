@@ -1,8 +1,9 @@
 """Command-line interface: fit, region export, simulation grid, oracle validation.
 
 Exit codes: 0 success; 1 validation tolerance failure; 2 malformed input,
-invalid flags or an unwritable output path; 3 too few studies to fit (n < 3);
-4 corrected region undefined (threshold factor 1 + h not positive).
+invalid flags, a negative seed, an unwritable output path or two outputs
+naming one file; 3 too few studies to fit (n < 3); 4 corrected region
+undefined (threshold factor 1 + h not positive).
 """
 
 from __future__ import annotations
@@ -114,9 +115,19 @@ def _read_fittable(path: str) -> Dataset:
 
 
 def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
-    """Write each (text, path) pair: all files in one atomic call, then stdout for path None."""
+    """Write each (text, path) pair: all files in one atomic call, then stdout for path None.
+
+    Two paths that resolve to one file are rejected before anything is written.
+    """
+    files = [(path, text) for text, path in outputs if path is not None]
+    seen: dict[str, str] = {}
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"outputs {seen[real]!r} and {path!r} name one file")
+        seen[real] = path
     try:
-        _write_atomic([(path, text) for text, path in outputs if path is not None])
+        _write_atomic(files)
     except OSError as exc:
         raise ValueError(f"cannot write {exc.filename}: {exc.strerror or exc}")
     for text, path in outputs:
@@ -125,16 +136,20 @@ def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
 
 
 def _default_seed(value: int | None) -> int:
-    """Resolve a seed: explicit flag, then the DTA_SEED env var, then 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("DTA_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DTA_SEED={env!r} is not an integer")
+    """Resolve a nonnegative seed: explicit flag, then the DTA_SEED env var, then 0."""
+    source = f"--seed {value}"
+    if value is None:
+        env = os.environ.get("DTA_SEED")
+        if env is None:
+            return 0
+        source = f"DTA_SEED={env!r}"
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{source} is not an integer")
+    if value < 0:
+        raise ValueError(f"{source} is negative; seeds must be nonnegative")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegionUndefinedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_REGION
-    except ValueError as exc:  # covers DataError, bad flags and unwritable outputs
+    except ValueError as exc:  # covers DataError, bad flags and seeds, and unwritable outputs
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
 

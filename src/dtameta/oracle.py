@@ -16,15 +16,16 @@ corrected region attains rather than checking its terms, and runs the same
 replication fit as simlab (_rep_fit), which skips the trace terms for the
 naive region.
 
-Both run in two phases per chunk of replications. The draw loop reads
-replication r's rep_stream(seed, r) as one block of 2n standard normals;
-the stream states of the whole chunk are derived at once and set on one
-generator in turn (_stream_states, _normal_blocks, which simlab shares),
-and the block is colored on the whole stack by each D_i's lower Cholesky
-factor L, written out as y1 = l11 z1 and y2 = l21 z1 + l22 z2. The fit
-then runs once on the stack.
-Chunks hold a fixed bound of replication x study rows, and chunking never
-changes a result.
+Every Monte Carlo loop, here and in simlab, is one _by_chunk call: chunks
+of at most _CHUNK_ROWS replication x study rows, each run by a step whose
+per-replication columns fill one preallocated array, so memory stays flat
+in reps and chunking never changes a result. A step draws, then fits. The
+draw reads replication r's rep_stream(seed, r) as one block of 2n standard
+normals; the stream states of the whole chunk are derived at once and set
+on one generator in turn (_stream_states, _normal_blocks, which simlab
+shares), and the block is colored on the whole stack by each D_i's lower
+Cholesky factor L, written out as y1 = l11 z1 and y2 = l21 z1 + l22 z2. The
+fit then runs once on the stack.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check_d, _d_stack, _inv2, _moment_bc_array, _precisions, _psd_clamp
+from .estimators import (
+    _check_d, _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp,
+)
 from .model import BTerms, DataError, Sym2
-from .regions import _chunks, _coverage, _rep_fit, chi2_quantile
+from .regions import _b_star_kernel, _h_value, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -78,6 +81,8 @@ class OracleConfig:
             raise ValueError("sigma_true must be PSD")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def s_array(self) -> np.ndarray:
         return np.asarray(self.within_vars, dtype=float)
@@ -203,6 +208,55 @@ def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tr_k * tr_k, k11 * k11 + 2 * k[..., 0, 1] * k[..., 1, 0] + k22 * k22, tr_k
 
 
+# Bound on the replication x study rows one stacked fit holds, so Monte Carlo
+# memory stays flat in the replication count.
+_CHUNK_ROWS = 2048
+
+
+def _by_chunk(reps: int, n: int, width: int, step) -> np.ndarray:
+    """C-order (reps, width) array whose row r holds replication r's values from step.
+
+    step(chunk) maps a range of consecutive replications, at most _CHUNK_ROWS
+    replication x study rows but at least one replication, to width arrays of
+    one value per replication.
+    """
+    out = np.empty((reps, width))
+    size = max(1, _CHUNK_ROWS // n)
+    for lo in range(0, reps, size):
+        chunk = range(lo, min(lo + size, reps))
+        out[lo : chunk.stop] = np.column_stack(step(chunk))
+    return out
+
+
+def _rep_fit(y: np.ndarray, s: np.ndarray, x: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Moment and GLS fit of R stacked Monte Carlo replications.
+
+    y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
+    replication. Returns (q, h) from the same precision kernel as the public
+    fit: q (R,) is the quadratic form of the pooled mean about (0, 0), and h
+    (R,) the threshold adjustment at x. With x None (the naive region) the
+    trace terms are skipped and h is zeros. Nothing is checked: the clamped
+    estimate plus positive s_i is positive definite.
+    """
+    sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
+    d, g, a = _precisions(s, sig_hat)
+    beta = _gls_mean(g, a, y)[..., None]
+    q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
+    if x is None:
+        return q, np.zeros_like(q)
+    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), x)
+
+
+def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
+    """(coverage, binomial SE) of R replications' quadratic forms q against thresholds x (1 + h).
+
+    h is (R,) or a scalar (0 for the naive region). A replication whose
+    factor 1 + h is not positive counts as a miss: no region exists to cover.
+    """
+    coverage = float(np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / q.size)
+    return coverage, math.sqrt(coverage * (1.0 - coverage) / q.size)
+
+
 def mc_b_moments(
     cfg: OracleConfig, sigma_hat_override: Sym2 | None = None
 ) -> tuple[BTerms, tuple[float, float, float]]:
@@ -237,11 +291,12 @@ def mc_b_moments(
         return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
     chol = np.linalg.cholesky(d_true)
-    stats = np.empty((cfg.reps, 3))
-    for reps in _chunks(cfg.reps, cfg.n):
+
+    def step(reps: range):
         sig_hat, _ = _psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))
-        k = (_inv2(_precisions(s, sig_hat)[2]) - v_true) @ a_true
-        stats[reps.start : reps.stop] = np.column_stack(_k_stats(k))
+        return _k_stats((_inv2(_precisions(s, sig_hat)[2]) - v_true) @ a_true)
+
+    stats = _by_chunk(cfg.reps, cfg.n, 3, step)
     means = stats.mean(axis=0)
     ses = stats.std(axis=0, ddof=1) / math.sqrt(cfg.reps)
     return BTerms(*map(float, means)), tuple(map(float, ses))
@@ -287,10 +342,8 @@ def mc_coverage(
     s = cfg.s_array()
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     x_ccr = x if method == "ccr" else None
-    q = np.empty(cfg.reps)
-    h = np.empty(cfg.reps)
-    for reps in _chunks(cfg.reps, cfg.n):
-        rows = slice(reps.start, reps.stop)
-        q[rows], h[rows] = _rep_fit(_draw_stack(cfg, reps, chol), s, x_ccr)
+    q, h = _by_chunk(
+        cfg.reps, cfg.n, 2, lambda reps: _rep_fit(_draw_stack(cfg, reps, chol), s, x_ccr)
+    ).T
     coverage, se = _coverage(q, h, x)
     return coverage, se, float(np.median(h))

@@ -7,13 +7,10 @@ corrected region inflates the threshold by a factor 1 + h built from three
 trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
-Public calls (once per confidence_region) and Monte Carlo replications
-(_rep_fit) take D, G and A from one precision kernel in estimators; only
-the corrected region inverts A into V. Every matrix here is 2 x 2, so the
-algebra is closed form: each inverse is the adjugate over the determinant
-(estimators._inv2), the pooled mean solves its 2 x 2 system by Cramer's
-rule, and the PSD clamp calls eigh only on estimates that an elementwise
-determinant test cannot pass.
+confidence_region takes D, G, A and V from the checked precision kernel in
+estimators, where every 2 x 2 inverse is closed form. The Monte Carlo checks
+of the region live in oracle, which reuses the stacked trace kernel and the
+h formula below.
 """
 
 from __future__ import annotations
@@ -23,16 +20,7 @@ import warnings
 
 import numpy as np
 
-from .estimators import (
-    _checked_precisions,
-    _gls_mean,
-    _inv2,
-    _moment_bc_array,
-    _precisions,
-    _psd_clamp,
-    bias_corrected_sigma,
-    reml_sigma,
-)
+from .estimators import _checked_precisions, _gls_mean, bias_corrected_sigma, reml_sigma
 from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
@@ -122,48 +110,6 @@ def _b_star_kernel(
     b2 = (((kg @ vv @ kg) * dd).sum(axis=(1, 2)) + ((kg @ kd @ kg) * vv).sum(axis=(1, 2))) / n**2
     b3 = b2 - (qg * (kd + dd)).sum(axis=(1, 2)) / n**2
     return b1, b2, b3
-
-
-# Bound on the replication x study rows one stacked fit holds, so Monte Carlo
-# memory stays flat in the replication count.
-_CHUNK_ROWS = 2048
-
-
-def _chunks(reps: int, n: int) -> list[range]:
-    """Consecutive replication ranges of at most _CHUNK_ROWS study rows, at least one each."""
-    step = max(1, _CHUNK_ROWS // n)
-    return [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-
-
-def _rep_fit(
-    y: np.ndarray, s: np.ndarray, x: float | None
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Moment and GLS fit of R stacked Monte Carlo replications.
-
-    y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
-    replication. Returns (q, h) from the same precision kernel as the public
-    fit: q (R,) is the quadratic form of the pooled mean about (0, 0), and h
-    (R,) the threshold adjustment at x. With x None (the naive region) the
-    trace terms are skipped and h is 0. Nothing is checked: the clamped
-    estimate plus positive s_i is positive definite.
-    """
-    sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
-    d, g, a = _precisions(s, sig_hat)
-    beta = _gls_mean(g, a, y)[..., None]
-    q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
-    if x is None:
-        return q, 0.0
-    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), x)
-
-
-def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
-    """(coverage, binomial SE) of R replications' quadratic forms q against thresholds x (1 + h).
-
-    h is (R,) or a scalar (0 for the naive region). A replication whose
-    factor 1 + h is not positive counts as a miss: no region exists to cover.
-    """
-    coverage = float(np.count_nonzero((1.0 + h > 0.0) & (q <= x * (1.0 + h))) / q.size)
-    return coverage, math.sqrt(coverage * (1.0 - coverage) / q.size)
 
 
 def _h_value(b1, b2, b3, x: float):

@@ -23,8 +23,8 @@ import numpy as np
 
 from .estimators import _i2_array
 from .model import Dataset, Study
-from .oracle import _normal_blocks, rep_stream
-from .regions import _chunks, _coverage, _rep_fit, chi2_quantile
+from .oracle import _by_chunk, _coverage, _normal_blocks, _rep_fit, rep_stream
+from .regions import chi2_quantile
 
 __all__ = [
     "Scenario",
@@ -71,6 +71,8 @@ class Scenario:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -193,14 +195,12 @@ def _draw_block(sc: Scenario, reps: range, chol: np.ndarray) -> tuple[np.ndarray
 def _run_scenario(sc: Scenario) -> GridResult:
     x = chi2_quantile(sc.alpha)
     chol = _sigma_chol(sc.tau2, sc.rho)
-    q = np.empty(sc.reps)
-    h = np.empty(sc.reps)
-    i2 = np.empty(sc.reps)
-    for reps in _chunks(sc.reps, sc.n):
+
+    def step(reps: range):
         y, s = _draw_block(sc, reps, chol)
-        rows = slice(reps.start, reps.stop)
-        q[rows], h[rows] = _rep_fit(y, s, x)
-        i2[rows] = _i2_array(s[..., 0], sc.tau2)
+        return (*_rep_fit(y, s, x), _i2_array(s[..., 0], sc.tau2))
+
+    q, h, i2 = _by_chunk(sc.reps, sc.n, 3, step).T
     coverage_ncr, _ = _coverage(q, 0.0, x)
     coverage_ccr, mc_se = _coverage(q, h, x)
     return GridResult(
@@ -216,18 +216,19 @@ def _run_scenario(sc: Scenario) -> GridResult:
 def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     """Run every scenario and return results in input order.
 
-    Each scenario runs in two phases per chunk of replications. The draw
-    reads replication r's own (seed, r) stream as one block of standard
-    normals; the streams of a chunk are derived together and set in turn on
-    one generator. The rejection-sampled variances, mu and the noise are
-    read off the stacked blocks in stream order, and the moment fit, GLS,
-    trace terms and h then run once on the (R, n, 2) stacks of y and s. A
-    chunk holds a fixed bound of replication x study rows, so memory does
-    not grow with reps, and no replication's numbers depend on the chunk it
-    lands in: results are independent of chunking and of scenario order,
-    and reproduce exactly for a fixed grid. The
-    heterogeneity fraction is computed for each replication from its drawn
-    sensitivity-arm variances and the scenario's true tau2, then averaged.
+    Each scenario is one oracle._by_chunk loop, which bounds the replication
+    x study rows of a chunk, so memory does not grow with reps. Each chunk
+    runs in two phases. The draw reads replication r's own (seed, r) stream
+    as one block of standard normals; the streams of a chunk are derived
+    together and set in turn on one generator. The rejection-sampled
+    variances, mu and the noise are read off the stacked blocks in stream
+    order, and the moment fit, GLS, trace terms and h (oracle._rep_fit, the
+    fit mc_coverage runs) then run once on the (R, n, 2) stacks of y and s.
+    No replication's numbers depend on the chunk it lands in: results are
+    independent of chunking and of scenario order, and reproduce exactly
+    for a fixed grid. The heterogeneity fraction is computed for each
+    replication from its drawn sensitivity-arm variances and the scenario's
+    true tau2, then averaged.
     The reported Monte Carlo standard error is the binomial SE of the
     corrected-region coverage.
     """

@@ -478,6 +478,21 @@ class TestSimulateCommand:
         assert main(SIM_ARGS) == 2
         assert "DTA_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [SIM_ARGS, ["validate", "--preset", "degenerate"]], ids=["simulate", "validate"]
+    )
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, command, source):
+        if source == "flag":
+            command, named = command + ["--seed", "-3"], "--seed -3"
+        else:
+            monkeypatch.setenv("DTA_SEED", "-3")
+            named = "DTA_SEED='-3'"
+        assert main(command) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {named} is negative; seeds must be nonnegative\n"
+
     def test_degenerate_rho_exits_2(self, capsys):
         code = main(["simulate", "--tau2", "0.2", "--rho", "1.0", "--n", "4", "--reps", "1"])
         assert code == 2
@@ -581,6 +596,18 @@ class TestUnwritableOutput:
         assert out == ""
         assert not report.exists()
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("svg", ["out", "./out"])
+    def test_two_outputs_naming_one_file_exit_2(
+        self, capsys, summary_table, tmp_path, monkeypatch, svg
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["fit", "--input", summary_table, "--json", "out", "--svg", svg])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: outputs 'out' and {svg!r} name one file\n"
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
 
 def fenced_block(text, lang):

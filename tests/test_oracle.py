@@ -23,7 +23,7 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
-from dtameta import estimators, oracle, regions
+from dtameta import estimators, oracle
 from dtameta.cli import read_table
 from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
@@ -71,6 +71,10 @@ class TestOracleConfig:
     def test_nonpositive_reps_rejected(self):
         with pytest.raises(ValueError):
             homogeneous_config(2, 0, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            homogeneous_config(2, 1000, -1)
 
 
 class TestRepStream:
@@ -335,7 +339,7 @@ class TestMcCoverage:
         def fail(*args):
             raise AssertionError("trace kernel called for the naive region")
 
-        monkeypatch.setattr(regions, "_b_star_kernel", fail)
+        monkeypatch.setattr(oracle, "_b_star_kernel", fail)
         cov, _, _ = mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
         assert 0.0 < cov <= 1.0
 
@@ -355,7 +359,7 @@ class TestMcCoverage:
         d = read_table(fixtures_dir / "synthetic14.csv")
         monkeypatch.setattr(_umath_linalg, "inv", counting(_umath_linalg.inv))
         inv2 = counting(estimators._inv2)
-        for module in (estimators, regions, oracle):
+        for module in (estimators, oracle):
             monkeypatch.setattr(module, "_inv2", inv2)
         reml_sigma(d)
         assert shapes and (2, 2) not in shapes
@@ -387,8 +391,9 @@ class TestMcCoverage:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("reps_per_chunk", [1, 7, None])
-    def test_results_independent_of_chunking(self, monkeypatch, reps_per_chunk):
+    # ids count replications per chunk; a row cap below n still runs one
+    @pytest.mark.parametrize("rows", [3, 5, 35, None], ids=["below_n", "1", "7", "None"])
+    def test_results_independent_of_chunking(self, monkeypatch, rows):
         moments_cfg = homogeneous_config(5, 1000, 21, sigma=Sym2(0.3, 0.1, 0.2))
         coverage_cfg = OracleConfig(
             n=5, sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(5),
@@ -403,8 +408,8 @@ class TestChunking:
             )
 
         default = run()
-        if reps_per_chunk is not None:
-            monkeypatch.setattr(regions, "_CHUNK_ROWS", reps_per_chunk * 5)
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
         assert run() == default
 
 
@@ -452,5 +457,5 @@ class TestBlockDraw:
         mc_coverage(cfg, "ccr")
         mc_b_moments(cfg)
         # one SeedSequence and one PCG64 per chunk of each call
-        chunks = len(regions._chunks(cfg.reps, cfg.n))
+        chunks = math.ceil(cfg.reps / (oracle._CHUNK_ROWS // cfg.n))
         assert stream_builds == {"SeedSequence": 2 * chunks, "PCG64": 2 * chunks, "default_rng": 0}

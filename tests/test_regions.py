@@ -24,7 +24,8 @@ from dtameta import (
 from dtameta import estimators
 from dtameta.cli import read_table
 from dtameta.estimators import _d_stack, _precisions
-from dtameta.regions import _CHUNK_ROWS, _b_star_kernel
+from dtameta.oracle import _CHUNK_ROWS
+from dtameta.regions import _b_star_kernel
 
 X05 = 5.991464547107982  # -2 log 0.05
 

@@ -26,7 +26,7 @@ from dtameta import (
     run_grid,
     write_grid_csv,
 )
-from dtameta import regions, simlab
+from dtameta import oracle, simlab
 from dtameta.simlab import GRID_CSV_HEADER
 
 VAR_LO, VAR_HI = 0.009, 0.6
@@ -75,6 +75,10 @@ class TestScenarioValidation:
     def test_rejects_bad_cells(self, kwargs):
         with pytest.raises(ValueError):
             Scenario(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            Scenario(tau2=0.1, rho=0.0, n=8, reps=10, seed=-1)
 
     def test_grid_result_range_check(self):
         sc = Scenario(tau2=0.1, rho=0.0, n=8, reps=10)
@@ -234,7 +238,7 @@ def test_run_grid_builds_no_stream_per_replication(stream_builds):
     sc = Scenario(tau2=0.4, rho=0.4, n=8, reps=600, seed=9)
     run_grid([sc])
     # one SeedSequence and one PCG64 per chunk, plus rep_stream for the rare short row
-    chunks = len(regions._chunks(sc.reps, sc.n))
+    chunks = math.ceil(sc.reps / (oracle._CHUNK_ROWS // sc.n))
     assert stream_builds["SeedSequence"] <= chunks + 2
     assert stream_builds["PCG64"] <= chunks
     assert stream_builds["default_rng"] <= 2
@@ -290,15 +294,16 @@ class TestRunGrid:
         assert res.median_h == pytest.approx(float(np.median(h_values)), rel=1e-12)
         assert res.mean_i2 == pytest.approx(float(np.mean(i2_values)), rel=1e-12)
 
-    @pytest.mark.parametrize("reps_per_chunk", [1, 7, None])
-    def test_results_independent_of_chunking(self, monkeypatch, reps_per_chunk):
+    # ids count replications per chunk; a row cap below n still runs one
+    @pytest.mark.parametrize("rows", [4, 6, 42, None], ids=["below_n", "1", "7", "None"])
+    def test_results_independent_of_chunking(self, monkeypatch, rows):
         scenarios = [
             Scenario(tau2=0.3, rho=0.2, n=6, reps=40, seed=3),
             Scenario(tau2=0.0, rho=0.5, n=6, reps=40, seed=4),
         ]
         default = run_grid(scenarios)
-        if reps_per_chunk is not None:
-            monkeypatch.setattr(regions, "_CHUNK_ROWS", reps_per_chunk * 6)
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
         assert run_grid(scenarios) == default
 
     def test_runs_clean_under_warnings_as_errors(self):

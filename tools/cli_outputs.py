@@ -15,8 +15,9 @@ covariance clamp fires, the SROC curve is omitted and REML exits 2) and on
 saturated.csv (logits beyond +-40, where the ROC coordinates round to exactly
 1). The bad-input commands, each meant to exit 2, read short_row.csv (a row
 of 4 fields), bad_count.csv (a count of 2.5) and a missing file, write into a
-missing directory, and pass out-of-range flags or DTA_SEED=x; the last runs
-through a snippet, since every command runs with DTA_SEED unset. Occurrences
+missing directory or twice into one file, and pass out-of-range flags, a
+negative seed or DTA_SEED=x; the last runs through a snippet, since every
+command runs with DTA_SEED unset. Occurrences
 of the SRC path in the captured text are replaced by the literal "$SRC". A change that should keep every output byte-identical is
 checked by running this on both trees and comparing:
 
@@ -155,6 +156,8 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("simulate_reps_0", simulate + ["--rho", "0", "--reps", "0"]),
         ("region_points_2", ["region", "--input", FIXTURE, "--points", "2"]),
         ("fit_alpha_2", ["fit", "--input", FIXTURE, "--alpha", "2"]),
+        ("same_output", ["fit", "--input", FIXTURE, "--json", "out", "--svg", "out"]),
+        ("negative_seed", ["validate", "--preset", "degenerate", "--seed", "-1"]),
     ]:
         cmds.append((f"error_{name}", cli + argv))
     seeded = _BAD_SEED.format(argv=simulate + ["--rho", "0", "--reps", "5"])
