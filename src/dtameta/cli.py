@@ -16,7 +16,6 @@ import os
 import sys
 import warnings
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .model import (
 from .oracle import OracleConfig, mc_b_moments, rep_stream
 from .regions import b_star, chi2_quantile, confidence_region, region_boundary
 from .simlab import Scenario, _write_atomic, gen_within_variances, grid_to_csv, run_grid
-from .transforms import _roc_array, _sroc_array, summarize_counts
+from .transforms import sroc_curve, summarize_counts, to_roc_space
 
 __all__ = ["main", "read_table", "validation_preset"]
 
@@ -114,15 +113,19 @@ def _read_fittable(path: str) -> Dataset:
     return d
 
 
-def _emit(outputs: Sequence[tuple[str, str | None]]) -> None:
+def _emit(outputs: Sequence[tuple[str, str | None]], source: str | None = None) -> None:
     """Write each (text, path) pair: all files in one atomic call, then stdout for path None.
 
-    Two paths that resolve to one file are rejected before anything is written.
+    Two paths that resolve to one file, or a path that resolves to the input
+    table source, are rejected before anything is written.
     """
     files = [(path, text) for text, path in outputs if path is not None]
+    source_real = None if source is None else os.path.realpath(source)
     seen: dict[str, str] = {}
     for path, _ in files:
         real = os.path.realpath(path)
+        if real == source_real:
+            raise ValueError(f"output {path!r} names the input table {source!r}")
         if real in seen:
             raise ValueError(f"outputs {seen[real]!r} and {path!r} name one file")
         seen[real] = path
@@ -175,14 +178,6 @@ def _region_json(r: ConfidenceRegion) -> dict:
     }
 
 
-def _safe_sroc(fit: FitResult, warn_sink: list[str]) -> np.ndarray:
-    """The (m, 2) SROC points of fit on SROC_GRID; none (m = 0) when the curve is undefined."""
-    if fit.sigma.a22 > 0:
-        return _sroc_array(fit.beta, fit.sigma, SROC_GRID)
-    warn_sink.append("sroc curve omitted: between-study specificity variance is zero")
-    return np.empty((0, 2))
-
-
 def _captured(fn, *args):
     """fn(*args) and the messages of every warning it raised, in order, none filtered out."""
     with warnings.catch_warnings(record=True) as caught:
@@ -191,8 +186,13 @@ def _captured(fn, *args):
     return result, [str(w.message) for w in caught]
 
 
-def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
-    """Compute the full report; returns (json_dict, plot_ingredients)."""
+def _fit_report(
+    d: Dataset, alpha: float, estimator: str
+) -> tuple[dict, FitResult, ConfidenceRegion, ConfidenceRegion]:
+    """The report dict and what the plot draws: the primary fit, its ncr region and the ccr.
+
+    report["sroc"] is the (m, 2) SROC on SROC_GRID, none (m = 0) when the curve is undefined.
+    """
     (ccr, moment_fit), messages = _captured(confidence_region, d, "ccr", alpha, "moment_bc")
     reml_fit = ncr_reml = None
     if estimator in ("reml", "both"):
@@ -205,6 +205,11 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
     _, s = d.arrays()
     primary = reml_fit if estimator == "reml" else moment_fit
     ncr_primary = ncr_reml if estimator == "reml" else ncr_moment
+    if primary.sigma.a22 > 0:
+        sroc = sroc_curve(primary.beta, primary.sigma, SROC_GRID)
+    else:
+        sroc = np.empty((0, 2))
+        messages.append("sroc curve omitted: between-study specificity variance is zero")
     report = {
         **_fit_json(primary),
         "estimator": primary.estimator,
@@ -215,19 +220,13 @@ def _fit_report(d: Dataset, alpha: float, estimator: str) -> tuple[dict, dict]:
             "sens": i_squared(s[:, 0], max(primary.sigma.a11, 0.0)),
             "spec": i_squared(s[:, 1], max(primary.sigma.a22, 0.0)),
         },
-        "sroc": _safe_sroc(primary, messages),
+        "sroc": sroc,
         "warnings": list(dict.fromkeys(messages)),
     }
     if estimator == "both":
         assert reml_fit is not None and ncr_reml is not None
         report["reml"] = {**_fit_json(reml_fit), "regions": {"ncr": _region_json(ncr_reml)}}
-    plot = {
-        "fit": primary,
-        "ncr": ncr_primary,
-        "ccr": ccr,
-        "sroc": report["sroc"],
-    }
-    return report, plot
+    return report, primary, ncr_primary, ccr
 
 
 def _report_json(report: dict) -> str:
@@ -256,9 +255,10 @@ def _svg_path(roc: np.ndarray, close: bool) -> str:
     return "M" + " L".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist()) + ("Z" if close else "")
 
 
-def _render_svg(d: Dataset, plot: dict) -> str:
+def _render_svg(
+    d: Dataset, fit: FitResult, ncr: ConfidenceRegion, ccr: ConfidenceRegion, sroc: np.ndarray
+) -> str:
     """Static SVG 1.1 plot in ROC space: unit square, studies, summary, regions, SROC."""
-    fit: FitResult = plot["fit"]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="500" height="500" '
@@ -284,24 +284,25 @@ def _render_svg(d: Dataset, plot: dict) -> str:
         '<text x="12" y="230" font-family="sans-serif" font-size="13" text-anchor="middle" '
         'transform="rotate(-90 12 230)">Sensitivity</text>'
     )
-    if len(plot["sroc"]):
+    if len(sroc):
         parts.append(
-            f'<path d="{_svg_path(plot["sroc"], close=False)}" fill="none" '
+            f'<path d="{_svg_path(sroc, close=False)}" fill="none" '
             'stroke="#333333" stroke-width="1.5"/>'
         )
-    for region, color in ((plot["ncr"], "#1f77b4"), (plot["ccr"], "#d62728")):
-        roc = _roc_array(region_boundary(region, BOUNDARY_POINTS))
+    for region, color in ((ncr, "#1f77b4"), (ccr, "#d62728")):
+        roc = to_roc_space(region_boundary(region, BOUNDARY_POINTS))
         parts.append(
             f'<path d="{_svg_path(roc, close=True)}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-    for st, (x, y) in zip(d.studies, _canvas(_roc_array(d.arrays()[0])).tolist()):
-        label = escape(st.id or "study")
+    for st, (x, y) in zip(d.studies, _canvas(to_roc_space(d.arrays()[0])).tolist()):
+        # & first, so the entities made here are not escaped again
+        label = (st.id or "study").replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3.5" fill="#888888" fill-opacity="0.7">'
             f"<title>{label}</title></circle>"
         )
-    [(x, y)] = _canvas(_roc_array([fit.beta])).tolist()
+    [(x, y)] = _canvas(to_roc_space([fit.beta])).tolist()
     parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#000000"/>')
     legend = [("NCR", "#1f77b4"), ("CCR", "#d62728"), ("SROC", "#333333")]
     for i, (name, color) in enumerate(legend):
@@ -316,11 +317,11 @@ def _render_svg(d: Dataset, plot: dict) -> str:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     d = _read_fittable(args.input)
-    report, plot = _fit_report(d, args.alpha, args.estimator)
+    report, fit, ncr, ccr = _fit_report(d, args.alpha, args.estimator)
     outputs = [(_report_json(report), args.json)]
     if args.svg is not None:
-        outputs.append((_render_svg(d, plot), args.svg))
-    _emit(outputs)
+        outputs.append((_render_svg(d, fit, ncr, ccr, report["sroc"]), args.svg))
+    _emit(outputs, args.input)
     return 0
 
 
@@ -334,9 +335,9 @@ def cmd_region(args: argparse.Namespace) -> int:
     sys.stderr.writelines(f"warning: {m}\n" for m in dict.fromkeys(messages))
     header, pts = "y_sens,y_spec", region_boundary(region, args.points)
     if args.space == "roc":
-        header, pts = "fpr,sensitivity", _roc_array(pts)
+        header, pts = "fpr,sensitivity", to_roc_space(pts)
     rows = "%.17g,%.17g\n" * len(pts) % tuple(pts.ravel().tolist())
-    _emit([(header + "\n" + rows, args.out)])
+    _emit([(header + "\n" + rows, args.out)], args.input)
     return 0
 
 

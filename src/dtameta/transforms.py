@@ -51,8 +51,11 @@ def summarize_counts(tp: int, fn: int, fp: int, tn: int, cc: float = 0.5, id: st
     return Study(y_a=y_a, y_b=y_b, s_a=s_a, s_b=s_b, id=id)
 
 
-def _roc_array(points: Sequence[Sequence[float]]) -> np.ndarray:
-    """(m, 2) array of the (fpr, sensitivity) of logit-scale points (u, v); see to_roc_space."""
+def to_roc_space(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Map logit-scale points (u, v) to an (m, 2) array of ROC coordinates (fpr, sensitivity).
+
+    u is logit sensitivity and v logit specificity, so fpr = 1 - expit(v).
+    """
     p = np.asarray(points, dtype=float)
     if p.size and p.shape[1:] != (2,):
         raise ValueError(f"expected (u, v) pairs, got an array of shape {p.shape}")
@@ -60,16 +63,15 @@ def _roc_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     return np.column_stack([1.0 - _expit(p[:, 1]), _expit(p[:, 0])])
 
 
-def to_roc_space(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
-    """Map logit-scale points (u, v) to ROC coordinates (fpr, sensitivity).
+def sroc_curve(beta: Sequence[float], sigma: Sym2, fpr_grid: Sequence[float]) -> np.ndarray:
+    """Summary ROC curve induced by the fitted means and covariance, as an (m, 2) array.
 
-    u is logit sensitivity and v logit specificity, so fpr = 1 - expit(v).
+    At false positive rate t the specificity logit is mu_b = logit(1 - t) and
+    the predicted sensitivity follows the regression of the first component on
+    the second: expit(beta_a + (sigma12/sigma22) (mu_b - beta_b)). The curve
+    passes through the summary point and is monotone in t when sigma12 > 0.
+    Row k is (fpr_grid[k], sensitivity).
     """
-    return list(map(tuple, _roc_array(points).tolist()))
-
-
-def _sroc_array(beta: Sequence[float], sigma: Sym2, fpr_grid: Sequence[float]) -> np.ndarray:
-    """(m, 2) array of the (fpr, sensitivity) points of the SROC curve; see sroc_curve."""
     if sigma.a22 <= 0:
         raise ValueError("sroc_curve requires a positive specificity variance component")
     t = np.asarray(fpr_grid, dtype=float)
@@ -79,16 +81,3 @@ def _sroc_array(beta: Sequence[float], sigma: Sym2, fpr_grid: Sequence[float]) -
     mu_b = np.log((1.0 - t) / (1.0 - (1.0 - t)))  # logit(1 - t), rounded as logit rounds it
     sens = _expit(float(beta[0]) + sigma.a12 / sigma.a22 * (mu_b - float(beta[1])))
     return np.column_stack([t, sens])
-
-
-def sroc_curve(
-    beta: Sequence[float], sigma: Sym2, fpr_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Summary ROC curve induced by the fitted means and covariance.
-
-    At false positive rate t the specificity logit is mu_b = logit(1 - t) and
-    the predicted sensitivity follows the regression of the first component on
-    the second: expit(beta_a + (sigma12/sigma22) (mu_b - beta_b)). The curve
-    passes through the summary point and is monotone in t when sigma12 > 0.
-    """
-    return list(map(tuple, _sroc_array(beta, sigma, fpr_grid).tolist()))

@@ -343,6 +343,45 @@ class TestFitCommand:
         assert [(c.get("cx"), c.get("cy")) for c in circles] == expected
 
 
+    def test_svg_escapes_study_ids(self, fixtures_dir, tmp_path):
+        # ids with &, <, >, " and ', and one that already reads as an entity
+        table = str(fixtures_dir / "special_ids.csv")
+        svg_path = tmp_path / "plot.svg"
+        assert main(["fit", "--input", table, "--json", str(tmp_path / "r.json"),
+                     "--svg", str(svg_path)]) == 0
+        root = ET.parse(svg_path).getroot()
+        titles = [t.text for t in root.findall(f".//{SVG_NS}title")]
+        assert titles == [st.id for st in read_table(table).studies]
+        text = svg_path.read_text()
+        assert "<title>&lt;script&gt;</title>" in text
+        assert "<title>&amp;amp;</title>" in text
+
+    def test_output_spans_see_the_public_transforms(self, fixtures_dir, tmp_path, monkeypatch):
+        # the benchmark's transforms.to_roc_space and sroc_curve spans wrap these names
+        calls = {"to_roc_space": 0, "sroc_curve": 0}
+
+        def counting(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        table = str(fixtures_dir / "synthetic14.csv")
+        assert main(["fit", "--input", table, "--json", str(tmp_path / "r.json"),
+                     "--svg", str(tmp_path / "p.svg")]) == 0
+        # region boundaries (ncr, ccr), the studies and the summary point; one SROC
+        assert calls == {"to_roc_space": 4, "sroc_curve": 1}
+        calls.update(to_roc_space=0, sroc_curve=0)
+        assert main(["region", "--input", table, "--space", "roc",
+                     "--out", str(tmp_path / "roc.csv")]) == 0
+        assert calls == {"to_roc_space": 1, "sroc_curve": 0}
+
+
 def parse_point_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
@@ -374,7 +413,7 @@ class TestRegionCommand:
         main(["region", "--input", summary_table, "--space", "roc", "--points", "32"])
         header, roc_pts = parse_point_csv(capsys.readouterr().out)
         assert header == ["fpr", "sensitivity"]
-        assert roc_pts == to_roc_space(logit_pts)
+        assert roc_pts == list(map(tuple, to_roc_space(logit_pts).tolist()))
 
     def test_ncr_method_flag(self, capsys, summary_table):
         code = main(["region", "--input", summary_table, "--method", "ncr", "--points", "4"])
@@ -610,6 +649,43 @@ class TestUnwritableOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
 
+INPUT_OUTPUT_ARGS = {
+    "fit --json": lambda table, out: ["fit", "--input", table, "--json", out],
+    "fit --svg": lambda table, out: ["fit", "--input", table, "--svg", out],
+    "region --out": lambda table, out: ["region", "--input", table, "--out", out],
+}
+
+
+class TestOutputNamingTheInput:
+    @pytest.mark.parametrize("flag", sorted(INPUT_OUTPUT_ARGS))
+    def test_exits_2_and_leaves_the_table(self, capsys, fixtures_dir, tmp_path, flag):
+        table = tmp_path / "t.csv"
+        original = (fixtures_dir / "synthetic14.csv").read_bytes()
+        table.write_bytes(original)
+        code = main(INPUT_OUTPUT_ARGS[flag](str(table), str(table)))
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: output {str(table)!r} names the input table {str(table)!r}\n"
+        assert out == ""
+        assert table.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @pytest.mark.parametrize("link_is", ["input", "output"])
+    def test_a_symlink_resolves_to_the_input(self, capsys, fixtures_dir, tmp_path, link_is):
+        table, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        original = (fixtures_dir / "synthetic14.csv").read_bytes()
+        table.write_bytes(original)
+        link.symlink_to(table)
+        src, dst = (link, table) if link_is == "input" else (table, link)
+        code = main(["region", "--input", str(src), "--out", str(dst)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: output {str(dst)!r} names the input table {str(src)!r}\n"
+        assert out == ""
+        assert link.is_symlink() and table.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "t.csv"]
+
+
 def fenced_block(text, lang):
     """Body of the first ```lang block in text."""
     m = re.search(rf"```{lang}\n(.*?)```", text, re.S)
@@ -645,6 +721,7 @@ class TestReadmeExamples:
         assert isinstance(ns["ccr"], ConfidenceRegion) and isinstance(ns["fit"], FitResult)
         assert ns["h"] == ns["fit"].h
         assert ns["ring"].shape == (256, 2) and np.all(np.isfinite(ns["ring"]))
+        assert ns["roc"].shape == (256, 2) and np.all((ns["roc"] >= 0) & (ns["roc"] <= 1))
 
 
 class TestValidateCommand:
@@ -709,6 +786,21 @@ class TestParser:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1].split() == ["0"] * 6, res.stderr
         assert "reml" in json.loads(out.read_text())
+
+    def test_import_leaves_sax_and_network_modules_unloaded(self):
+        # a fresh interpreter, so modules other tests loaded do not count
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, dtameta.cli; "
+            "print(*(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl') "
+            "if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "\n"
 
     def test_success_returns_int_zero(self, capsys, summary_table):
         code = main(["fit", "--input", summary_table])

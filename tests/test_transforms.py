@@ -117,17 +117,18 @@ class TestRocSpace:
             to_roc_space(points)
 
     @pytest.mark.parametrize("points", [[(0.3, -1.2), (2, 1)], np.array([[0.3, -1.2], [2.0, 1.0]])])
-    def test_returns_a_list_of_float_tuples(self, points):
+    def test_returns_an_m_by_2_float_array(self, points):
         pts = to_roc_space(points)
-        assert type(pts) is list
-        assert all(type(p) is tuple and len(p) == 2 for p in pts)
-        assert all(type(x) is float for p in pts for x in p)
-        assert to_roc_space([]) == []
+        assert type(pts) is np.ndarray
+        assert pts.dtype == np.float64 and pts.shape == (2, 2)
+        assert to_roc_space([]).shape == (0, 2)
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_logits_saturate_without_warnings(self):
-        assert to_roc_space([(800.0, -800.0), (-800.0, 800.0)]) == [(1.0, 1.0), (0.0, 0.0)]
-        assert to_roc_space([(-1e308, 1e308), (math.inf, -math.inf)]) == [(0.0, 0.0), (1.0, 1.0)]
+        assert to_roc_space([(800.0, -800.0), (-800.0, 800.0)]).tolist() == [[1.0, 1.0], [0.0, 0.0]]
+        assert to_roc_space([(-1e308, 1e308), (math.inf, -math.inf)]).tolist() == [
+            [0.0, 0.0], [1.0, 1.0]
+        ]
         assert (expit(-800.0), expit(800.0)) == (0.0, 1.0)
 
     @given(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)), max_size=20))
@@ -135,8 +136,8 @@ class TestRocSpace:
         # the loop the array kernel replaced; np.exp may round differently in the last place
         expected = [(1.0 - scalar_expit(v), scalar_expit(u)) for u, v in points]
         got = to_roc_space(points)
-        assert np.asarray(got) == pytest.approx(np.asarray(expected), rel=4 * ULP1, abs=2 * ULP1)
-        assert [sens for _, sens in got] == [expit(u) for u, _ in points]
+        assert got == pytest.approx(np.reshape(expected, (-1, 2)), rel=4 * ULP1, abs=2 * ULP1)
+        assert got[:, 1].tolist() == [expit(u) for u, _ in points]
 
 
 class TestSrocCurve:
@@ -193,7 +194,7 @@ class TestSrocCurve:
         slope = sigma.a12 / sigma.a22
         expected = [(t, scalar_expit(beta_a + slope * (logit(1.0 - t) - beta_b))) for t in grid]
         got = sroc_curve((beta_a, beta_b), sigma, grid)
-        assert np.asarray(got) == pytest.approx(np.asarray(expected), rel=4 * ULP1, abs=2 * ULP1)
+        assert got == pytest.approx(np.reshape(expected, (-1, 2)), rel=4 * ULP1, abs=2 * ULP1)
 
 
 class TestStudyValidation:

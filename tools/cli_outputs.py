@@ -13,11 +13,17 @@ in the code they load. Besides synthetic14.csv, fit --svg, fit --estimator
 both and region --space roc also run on identical.csv (equal studies: the
 covariance clamp fires, the SROC curve is omitted and REML exits 2) and on
 saturated.csv (logits beyond +-40, where the ROC coordinates round to exactly
-1). The bad-input commands, each meant to exit 2, read short_row.csv (a row
-of 4 fields), bad_count.csv (a count of 2.5) and a missing file, write into a
-missing directory or twice into one file, and pass out-of-range flags, a
-negative seed or DTA_SEED=x; the last runs through a snippet, since every
-command runs with DTA_SEED unset. Occurrences
+1). fit --svg also runs on special_ids.csv, whose ids hold &, <, >, " and '.
+A snippet prints float.hex of every coordinate that to_roc_space and
+sroc_curve return on fixed inputs, row by row, so it runs on any return type
+that iterates as rows of two numbers. The bad-input commands, each meant to
+exit 2, read short_row.csv (a row of 4 fields), bad_count.csv (a count of
+2.5) and a missing file, write into a missing directory or twice into one
+file, and pass out-of-range flags, a negative seed or DTA_SEED=x; the last
+runs through a snippet, since every command runs with DTA_SEED unset. One
+more snippet copies synthetic14.csv into its own working directory and runs
+fit --input and --json on that copy, so a tree that lets an output replace
+its input overwrites the copy and never a fixture. Occurrences
 of the SRC path in the captured text are replaced by the literal "$SRC". A change that should keep every output byte-identical is
 checked by running this on both trees and comparing:
 
@@ -58,6 +64,29 @@ import os, sys
 os.environ["DTA_SEED"] = "x"
 from dtameta.cli import main
 sys.exit(main({argv!r}))
+"""
+
+# fixed logit points, including saturated ones, and fixed SROC grids, including
+# the edges of (0, 1), on both signs of the covariance
+_TRANSFORMS = """
+import numpy as np
+from dtameta import Sym2, sroc_curve, to_roc_space
+rng = np.random.default_rng(19)
+points = [(-800.0, 800.0), (0.0, 0.0), (40.5, -40.5), *rng.normal(0.0, 3.0, (40, 2)).tolist()]
+grid = [1e-9, 0.005, 0.5, 0.995, 1.0 - 1e-9, *rng.uniform(0.01, 0.99, 40).tolist()]
+curves = [to_roc_space(points)]
+curves += [sroc_curve((1.2, 0.8), Sym2(0.4, c, 0.3), grid) for c in (-0.1, 0.0, 0.1)]
+for curve in curves:
+    for row in curve:
+        print(*(float(x).hex() for x in row))
+    print()
+"""
+
+_OUTPUT_IS_INPUT = """
+import shutil, sys
+shutil.copyfile({fixture!r}, "table.csv")
+from dtameta.cli import main
+sys.exit(main(["fit", "--input", "table.csv", "--json", "table.csv"]))
 """
 
 # REML on the fixture, on 40 seeded random tables of 5 to 30 studies and on 15
@@ -130,6 +159,9 @@ def _commands() -> list[tuple[str, list[str]]]:
                                                   "--json", "fit.json"]))
         cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
                                                    "--out", "region.csv"]))
+    cmds.append(("fit_special_ids", cli + ["fit", "--input", str(FIXTURES / "special_ids.csv"),
+                                           "--json", "fit.json", "--svg", "fit.svg"]))
+    cmds.append(("transforms", ["-c", _TRANSFORMS]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
                                            "--n", "8,16", "--reps", "300", "--seed", "7"]))
     cmds.append(("simulate_edges", cli + ["simulate", "--tau2", "0,0.8", "--rho", "-0.5",
@@ -162,6 +194,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         cmds.append((f"error_{name}", cli + argv))
     seeded = _BAD_SEED.format(argv=simulate + ["--rho", "0", "--reps", "5"])
     cmds.append(("error_dta_seed_x", ["-c", seeded]))
+    cmds.append(("error_output_is_input", ["-c", _OUTPUT_IS_INPUT.format(fixture=FIXTURE)]))
     return cmds
 
 
