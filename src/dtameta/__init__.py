@@ -6,91 +6,22 @@ pooled pair: the naive chi-square region and a corrected region whose
 threshold is inflated to account for the estimated between-study covariance.
 """
 
-from .estimators import (
-    bias_corrected_sigma,
-    gls_beta,
-    i_squared,
-    moment_sigma0,
-    ols_beta,
-    reml_sigma,
-    v_matrix,
-)
-from .model import (
-    AdjustmentMagnitudeWarning,
-    BTerms,
-    ConfidenceRegion,
-    DataError,
-    Dataset,
-    FitResult,
-    PsdProjectionWarning,
-    RegionUndefinedError,
-    RemlConvergenceWarning,
-    Study,
-    Sym2,
-)
-from .oracle import OracleConfig, expansion_coverage, mc_b_moments, mc_coverage, rep_stream
-from .regions import (
-    b_star,
-    chi2_quantile,
-    confidence_region,
-    h_adjust,
-    region_boundary,
-    region_contains,
-)
-from .simlab import (
-    GridResult,
-    Scenario,
-    gen_dataset,
-    gen_within_variances,
-    grid_to_csv,
-    run_grid,
-    write_grid_csv,
-)
-from .transforms import expit, logit, sroc_curve, summarize_counts, to_roc_space
+from . import estimators, model, oracle, regions, simlab, transforms
+from .estimators import *
+from .model import *
+from .oracle import *
+from .regions import *
+from .simlab import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustmentMagnitudeWarning",
-    "BTerms",
-    "ConfidenceRegion",
-    "DataError",
-    "Dataset",
-    "FitResult",
-    "GridResult",
-    "OracleConfig",
-    "PsdProjectionWarning",
-    "RegionUndefinedError",
-    "RemlConvergenceWarning",
-    "Scenario",
-    "Study",
-    "Sym2",
-    "b_star",
-    "bias_corrected_sigma",
-    "chi2_quantile",
-    "confidence_region",
-    "expansion_coverage",
-    "expit",
-    "gen_dataset",
-    "gen_within_variances",
-    "gls_beta",
-    "grid_to_csv",
-    "h_adjust",
-    "i_squared",
-    "logit",
-    "mc_b_moments",
-    "mc_coverage",
-    "moment_sigma0",
-    "ols_beta",
-    "region_boundary",
-    "region_contains",
-    "reml_sigma",
-    "rep_stream",
-    "run_grid",
-    "sroc_curve",
-    "summarize_counts",
-    "to_roc_space",
-    "v_matrix",
-    "write_grid_csv",
+    *estimators.__all__,
+    *model.__all__,
+    *oracle.__all__,
+    *regions.__all__,
+    *simlab.__all__,
+    *transforms.__all__,
     "__version__",
 ]

@@ -181,7 +181,10 @@ class ConfidenceRegion:
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
-            raise RegionUndefinedError(f"non-positive region threshold {self.threshold}")
+            raise RegionUndefinedError(
+                f"region threshold {self.threshold:.4g} is not positive "
+                f"(threshold factor 1 + h = {1.0 + self.h:.4g})"
+            )
         if self.shape.eigenvalues()[0] <= 0:
             raise ValueError("region shape matrix must be positive definite")
         if self.method == "ncr" and self.h != 0.0:

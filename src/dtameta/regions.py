@@ -27,7 +27,6 @@ from .model import (
     ConfidenceRegion,
     Dataset,
     FitResult,
-    RegionUndefinedError,
     Sym2,
 )
 
@@ -156,7 +155,8 @@ def confidence_region(
     estimator that its expansion assumes, so method="ccr" with
     estimator="reml" is rejected rather than silently recomputed.
 
-    Raises RegionUndefinedError when 1 + h <= 0 (no ellipse exists).
+    Raises RegionUndefinedError, through ConfidenceRegion, when 1 + h <= 0
+    (no ellipse exists).
     """
     if method not in ("ncr", "ccr"):
         raise ValueError(f"unknown method {method!r}")
@@ -177,10 +177,6 @@ def confidence_region(
     if method == "ccr":
         b = _b_terms(dmats, g, v)
         h = h_adjust(b, x=x)
-        if 1.0 + h <= 0.0:
-            raise RegionUndefinedError(
-                f"corrected threshold factor 1 + h = {1.0 + h:.4g} is not positive"
-            )
 
     region = ConfidenceRegion(
         center=(float(beta[0]), float(beta[1])),

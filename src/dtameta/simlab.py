@@ -12,7 +12,6 @@ the median threshold adjustment, and the mean heterogeneity fraction.
 from __future__ import annotations
 
 import errno
-import io
 import math
 import os
 import tempfile
@@ -36,7 +35,12 @@ __all__ = [
     "write_grid_csv",
 ]
 
-GRID_CSV_HEADER = "tau2,rho,n,reps,alpha,coverage_ncr,coverage_ccr,median_h,mean_i2,mc_se"
+# CSV columns in order: Scenario fields, then GridResult fields of the same name
+_GRID_COLUMNS = (
+    "tau2", "rho", "n", "reps", "alpha",
+    "coverage_ncr", "coverage_ccr", "median_h", "mean_i2", "mc_se",
+)
+GRID_CSV_HEADER = ",".join(_GRID_COLUMNS)
 
 _VAR_LO = 0.009
 _VAR_HI = 0.6
@@ -237,30 +241,15 @@ def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     return [_run_scenario(sc) for sc in scenarios]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def grid_to_csv(results: Sequence[GridResult]) -> str:
     """Render results as CSV, one row per scenario, floats at 6 significant digits."""
-    buf = io.StringIO()
-    buf.write(GRID_CSV_HEADER + "\n")
+    lines = [GRID_CSV_HEADER]
     for res in results:
-        sc = res.scenario
-        row = [
-            _fmt(sc.tau2),
-            _fmt(sc.rho),
-            str(sc.n),
-            str(sc.reps),
-            _fmt(sc.alpha),
-            _fmt(res.coverage_ncr),
-            _fmt(res.coverage_ccr),
-            _fmt(res.median_h),
-            _fmt(res.mean_i2),
-            _fmt(res.mc_se),
-        ]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        row = {**vars(res.scenario), **vars(res)}
+        lines.append(
+            ",".join(str(row[c]) if c in ("n", "reps") else f"{row[c]:.6g}" for c in _GRID_COLUMNS)
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _write_atomic(files: Sequence[tuple[str, str]]) -> None:

@@ -750,6 +750,22 @@ class TestValidateCommand:
             main(["validate", "--preset", "bogus"])
         assert exc.value.code == 2
 
+    def test_heterogeneous_preset_is_frozen(self):
+        # the design is drawn once from DESIGN_SEED: n, truth, first study and
+        # analytic terms are pinned bit for bit
+        cfg, override, expected = validation_preset("heterogeneous", 1000, 3)
+        assert (cfg.n, cfg.reps, cfg.seed, override) == (16, 1000, 3, None)
+        assert cfg.sigma_true == Sym2(0.4, 0.08, 0.4)
+        assert cfg.within_vars[0] == (
+            float.fromhex("0x1.8939bd3612951p-4"),
+            float.fromhex("0x1.2a878322d8d7bp-3"),
+        )
+        assert expected == (
+            float.fromhex("0x1.53b6dce89b608p-2"),
+            float.fromhex("0x1.e875dc036696fp-2"),
+            float.fromhex("-0x1.5db1de19d6b90p-6"),
+        )
+
     def test_unknown_preset_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown preset 'nope'"):
             validation_preset("nope", 1000, 0)

@@ -1,5 +1,6 @@
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ class TestPooledMeans:
         for method in ("ncr", "ccr"):
             with pytest.raises(ValueError, match="indefinite marginal covariance"):
                 confidence_region(d, method)
+
+    def test_singular_accumulated_precision_rejected(self):
+        # each D_i = Sigma + S_i passes the positive-definite check, but the
+        # rank-one Sigma dwarfs the S_i, so det A of sum_i D_i^{-1} rounds to <= 0
+        c = 34281083603.818615
+        d = make_dataset(
+            [(0.0, 0.0)] * 3,
+            [
+                (1.3322918882610562e-05, 1.761409507927805e-08),
+                (1.9511598183515372e-10, 4.898456353312426e-06),
+                (0.005200521515139688, 0.00024864548638454064),
+            ],
+        )
+        for entry in (gls_beta, v_matrix, b_star):
+            with pytest.raises(ValueError, match="accumulated precision is singular"):
+                entry(d, Sym2(c, c, c))
 
 
 def eigh_clamp(m):
@@ -470,6 +487,36 @@ class TestNelderMeadMatchesScipy:
         assert nfev == res.nfev
         expected = [] if res.success else [f"REML simplex stopped before convergence: {res.message}"]
         assert messages == expected
+
+    def test_cap_inside_an_iteration_matches_scipy(self, monkeypatch):
+        # a hash of x ranks vertices at random, forcing contractions and shrinks,
+        # so some runs spend the evaluation budget partway through an iteration
+        from scipy.optimize import minimize
+
+        def f(x):
+            return zlib.crc32(np.asarray(x, float).tobytes()) % 10007 / 10007
+
+        class Counted(estimators._OutOfEvaluations):
+            raised = 0
+
+            def __init__(self):
+                Counted.raised += 1
+
+        monkeypatch.setattr(estimators, "_OutOfEvaluations", Counted)
+        rng = np.random.default_rng(0)
+        for x0 in rng.standard_normal((10, 3)).tolist():
+            for max_iter in range(2, 7):
+                x, message = estimators._nelder_mead(f, x0, max_iter)
+                res = minimize(
+                    f,
+                    np.array(x0),
+                    method="Nelder-Mead",
+                    options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter,
+                             "maxfev": 4 * max_iter},
+                )
+                assert x == res.x.tolist()
+                assert message == (None if res.success else res.message)
+        assert Counted.raised > 0
 
 
 class TestDatasetArrays:

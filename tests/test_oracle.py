@@ -24,12 +24,11 @@ from dtameta import (
     v_matrix,
 )
 from dtameta import estimators, oracle
-from dtameta.cli import read_table
+from dtameta.cli import DESIGN_SEED, read_table
 from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
 
 X05 = 5.991464547107982
-DESIGN_SEED = 20240817
 
 
 def homogeneous_config(n, reps, seed, s_val=0.2, sigma=None):

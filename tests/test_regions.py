@@ -21,7 +21,7 @@ from dtameta import (
     region_boundary,
     region_contains,
 )
-from dtameta import estimators
+from dtameta import estimators, regions
 from dtameta.cli import read_table
 from dtameta.estimators import _d_stack, _precisions
 from dtameta.oracle import _CHUNK_ROWS
@@ -237,6 +237,29 @@ class TestHAdjust:
             h = h_adjust(BTerms(0.0, 8.0, 0.0))
         assert h > 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_s=st.integers(2, 8).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.floats(-2.0, 0.0), st.floats(-2.0, 0.0)), min_size=n, max_size=n
+            )
+        ),
+        l11=st.floats(0.0, 1.5),
+        l21=st.floats(-1.5, 1.5),
+        l22=st.floats(0.0, 1.5),
+        x=st.floats(0.1, 20.0),
+    )
+    def test_never_below_the_equal_studies_value(self, log_s, l11, l21, l22, x):
+        # n h >= 1 + x/2, with equality for n equal studies; so 1 + h > 0 here,
+        # and the region is undefined only through round-off on extreme inputs
+        n = len(log_s)
+        l = np.array([[l11, 0.0], [l21, l22]])
+        d = make_dataset([(0.0, 0.0)] * n, 10.0 ** np.array(log_s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdjustmentMagnitudeWarning)
+            h = h_adjust(b_star(d, Sym2.from_array(l @ l.T)), 2, x)
+        assert n * h >= (1.0 + x / 2.0) * (1.0 - 1e-6)
+
     def test_validation(self):
         for k in (0, 4):
             with pytest.raises(ValueError, match="bivariate"):
@@ -314,6 +337,13 @@ class TestConfidenceRegion:
             confidence_region(dataset, estimator="mle")
         with pytest.raises(ValueError):
             confidence_region(dataset, alpha=0.0)
+
+    @pytest.mark.parametrize("h", [-1.0, -1.5])
+    def test_nonpositive_factor_leaves_region_undefined(self, monkeypatch, dataset, h):
+        # ConfidenceRegion's threshold check is the one test of 1 + h > 0
+        monkeypatch.setattr(regions, "h_adjust", lambda b, x: h)
+        with pytest.raises(RegionUndefinedError, match=rf"threshold factor 1 \+ h = {1.0 + h:g}\)"):
+            confidence_region(dataset, method="ccr")
 
     def test_model_level_region_validation(self):
         with pytest.raises(RegionUndefinedError):

@@ -9,23 +9,38 @@ Each command runs in a fresh interpreter with PYTHONPATH=SRC and with
 OUTDIR/<name> as its working directory, where it writes its output files;
 its stdout, stderr and exit code are saved beside them. The input tables are
 this checkout's tests/fixtures/*.csv for every SRC, so two runs differ only
-in the code they load. Besides synthetic14.csv, fit --svg, fit --estimator
-both and region --space roc also run on identical.csv (equal studies: the
-covariance clamp fires, the SROC curve is omitted and REML exits 2) and on
-saturated.csv (logits beyond +-40, where the ROC coordinates round to exactly
-1). fit --svg also runs on special_ids.csv, whose ids hold &, <, >, " and '.
-A snippet prints float.hex of every coordinate that to_roc_space and
-sroc_curve return on fixed inputs, row by row, so it runs on any return type
-that iterates as rows of two numbers. The bad-input commands, each meant to
-exit 2, read short_row.csv (a row of 4 fields), bad_count.csv (a count of
-2.5) and a missing file, write into a missing directory or twice into one
-file, and pass out-of-range flags, a negative seed or DTA_SEED=x; the last
-runs through a snippet, since every command runs with DTA_SEED unset. One
-more snippet copies synthetic14.csv into its own working directory and runs
-fit --input and --json on that copy, so a tree that lets an output replace
-its input overwrites the copy and never a fixture. Occurrences
-of the SRC path in the captured text are replaced by the literal "$SRC". A change that should keep every output byte-identical is
-checked by running this on both trees and comparing:
+in the code they load. The commands:
+
+- fit (moment, reml and both, with --json and --svg) and region (ncr and
+  ccr, in logit and ROC space) on synthetic14.csv;
+- fit --svg, fit --estimator both and region --space roc on identical.csv
+  (equal studies: the covariance clamp fires, the SROC curve is omitted and
+  REML exits 2) and on saturated.csv (logits beyond +-40, where the ROC
+  coordinates round to exactly 1); fit --svg also on special_ids.csv, whose
+  ids hold &, <, >, " and ';
+- simulate on the README grid and on an edge grid (tau2 = 0, n = 2 and 3),
+  and validate on each preset at seeds 0 and 1;
+- snippets: mc_coverage and mc_b_moments on the presets; reml_sigma on the
+  fixture, 40 seeded tables and 15 near-boundary ones (tau2 = 0 at n = 3 and
+  5, correlation 0.999), also capped at max_iter 2, 5 and 40 with each
+  warning's full text; float.hex of every coordinate that to_roc_space and
+  sroc_curve return on fixed inputs, row by row, so it runs on any return
+  type that iterates as rows of two numbers; and namespace, the sorted
+  dtameta.__all__ and the sorted public names of dir(dtameta), so the check
+  also covers the package's API;
+- thirteen bad-input commands, each meant to exit 2: a short row
+  (short_row.csv), a non-integer count (bad_count.csv), a missing input, an
+  unwritable --json, validate --reps 999, simulate --rho 1, simulate
+  --reps 0, region --points 2, fit --alpha 2, fit --json out --svg out,
+  validate --seed -1, DTA_SEED=x (a snippet, since every command runs with
+  DTA_SEED unset) and error_output_is_input, a snippet that copies
+  synthetic14.csv into its own working directory and runs fit --input and
+  --json on that copy, so a tree that lets an output replace its input
+  overwrites the copy and never a fixture.
+
+Occurrences of the SRC path in the captured text are replaced by the literal
+"$SRC". A change that should keep every output byte-identical is checked by
+running this on both trees and comparing:
 
     python3 tools/cli_outputs.py /path/to/parent/src /tmp/before
     python3 tools/cli_outputs.py src /tmp/after
@@ -80,6 +95,12 @@ for curve in curves:
     for row in curve:
         print(*(float(x).hex() for x in row))
     print()
+"""
+
+_NAMESPACE = """
+import dtameta
+print(*sorted(dtameta.__all__))
+print(*sorted(name for name in dir(dtameta) if not name.startswith("_")))
 """
 
 _OUTPUT_IS_INPUT = """
@@ -162,6 +183,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     cmds.append(("fit_special_ids", cli + ["fit", "--input", str(FIXTURES / "special_ids.csv"),
                                            "--json", "fit.json", "--svg", "fit.svg"]))
     cmds.append(("transforms", ["-c", _TRANSFORMS]))
+    cmds.append(("namespace", ["-c", _NAMESPACE]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
                                            "--n", "8,16", "--reps", "300", "--seed", "7"]))
     cmds.append(("simulate_edges", cli + ["simulate", "--tau2", "0,0.8", "--rho", "-0.5",
