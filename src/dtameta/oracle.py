@@ -9,12 +9,15 @@ This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
-precision kernel (_precisions) with them, and inverts the kernel's summed
-precision A into V itself, with the same closed-form 2 x 2 inverse (_inv2,
-the adjugate over the determinant). mc_coverage measures the coverage the
-corrected region attains rather than checking its terms, and runs the same
-replication fit as simlab (_rep_fit), which skips the trace terms for the
-naive region.
+precision kernel (_precisions) with them, and inverts the summed precision
+A into V itself (_inv2). The analytic trace kernel never forms V: as its
+moment sums cancel once some D_i is ill-conditioned, it first maps
+D_i -> L' D_i L with A = L L', which keeps every trace and makes V = I, then
+takes b1 = 2 <Kd, vec P vec P'> / n^2, b2 = <Kg^2, S> / n^2 and
+b3 = b2 - <sum_i vec G_i^2 vec G_i', S> / n^2 with G_i the whitened
+precisions, P = sum_i G_i^2 and S = Kd + DD. mc_coverage measures the
+coverage the corrected region attains, with the same replication fit as
+simlab (_rep_fit), which skips the trace terms for the naive region.
 
 Every Monte Carlo loop, here and in simlab, is one _by_chunk call: chunks
 of at most _CHUNK_ROWS replication x study rows, each run by a step whose
@@ -244,7 +247,7 @@ def _rep_fit(y: np.ndarray, s: np.ndarray, x: float | None) -> tuple[np.ndarray,
     q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
     if x is None:
         return q, np.zeros_like(q)
-    return q, _h_value(*_b_star_kernel(d, g, _inv2(a)), x)
+    return q, _h_value(*_b_star_kernel(d, a), x)
 
 
 def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:
@@ -266,11 +269,8 @@ def mc_b_moments(
     irrelevant by translation invariance), re-estimates the between-study
     covariance with the bias-corrected moment estimator, inverts the summed
     precision A from the shared kernel into V(Sigma_hat), and evaluates the
-    three traces of K. Each replication's draws are one block of normals
-    from its own stream, rep_stream(seed, r), with the stream states of a
-    chunk derived together; the traces are computed on chunked replication
-    stacks, each replication as it would be alone, so a given config
-    reproduces bit-identically however it is chunked.
+    three traces of K. Draws and chunks are as the module docstring says, so
+    a given config reproduces bit for bit however it is chunked.
 
     sigma_hat_override pins the re-estimated covariance to a constant; with
     the truth itself K is identically zero. It exists for validation only:
@@ -340,6 +340,7 @@ def mc_coverage(
         raise ValueError("coverage estimation needs at least 100 replications")
 
     s = cfg.s_array()
+    _check_d(s, cfg.sigma_true.as_array())
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     x_ccr = x if method == "ccr" else None
     q, h = _by_chunk(

@@ -8,9 +8,8 @@ trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
 confidence_region takes D, G, A and V from the checked precision kernel in
-estimators, where every 2 x 2 inverse is closed form. The Monte Carlo checks
-of the region live in oracle, which reuses the stacked trace kernel and the
-h formula below.
+estimators; the trace kernel reads only D and A. The Monte Carlo checks of
+the region live in oracle, which reuses that kernel and the h formula below.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .estimators import _checked_precisions, _gls_mean, bias_corrected_sigma, reml_sigma
+from .estimators import _checked_precisions, _gls_mean, _inv2, bias_corrected_sigma, reml_sigma
 from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
@@ -63,50 +62,52 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
       b3 = b2 - (1/n^2) sum_{ij} tr(V U_{iji} D_j G_i)
               - (1/n^2) sum_{ij} tr(G_i D_j) tr(V U_{iji})
 
-    Each study index in these products labels only its own two or three
-    factors, so summing it out first leaves 4 x 4 moments of the stack:
-    DD = sum_i vec(D_i) vec(D_i)', the Kronecker sums Kg = sum_i G_i (x) G_i
-    and Kd = sum_i D_i (x) D_i, and sum_i vec(Q_i) vec(G_i)' with
-    Q_i = G_i V G_i. Building them is the only O(n) work; every trace is
-    then a product of 4 x 4 matrices, so time is linear in n and memory
+    Each study index labels only its own two or three factors, so summing it
+    out first leaves 4 x 4 moments of the whitened stack (_b_star_kernel).
+    Building them is the only O(n) work, so time is linear in n and memory
     constant.
     """
-    dmats, g, _, v = _checked_precisions(d, sigma)
-    return _b_terms(dmats, g, v)
+    dmats, _, a, _ = _checked_precisions(d, sigma)
+    return _b_terms(dmats, a)
 
 
-def _b_terms(dmats: np.ndarray, g: np.ndarray, v: Sym2) -> BTerms:
-    """b_star of one dataset from its checked D, G and V."""
-    b1, b2, b3 = _b_star_kernel(dmats[None], g[None], v.as_array()[None])
+def _b_terms(dmats: np.ndarray, a: np.ndarray) -> BTerms:
+    """b_star of one dataset from its checked D and A."""
+    b1, b2, b3 = _b_star_kernel(dmats[None], a[None])
     return BTerms(float(b1[0]), float(b2[0]), float(b3[0]))
 
 
-def _b_star_kernel(
-    dmats: np.ndarray, g: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _b_star_kernel(dmats: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace core of b_star on R stacked replications: (b1, b2, b3), each (R,).
 
-    Takes D (R, n, 2, 2), G = D^{-1} and V (R, 2, 2); the leading axis
+    Takes D (R, n, 2, 2) and A = sum_i D_i^{-1} (R, 2, 2); the leading axis
     only indexes replications, so each row is computed as it would be alone.
-    With row-major vec, G_i, D_i and V symmetric, P = sum_i Q_i and <X, Y>
-    the sum of the elementwise product, the terms are 4 x 4 matrix products:
+    The traces are unchanged by D_i -> L' D_i L, or vec(D_i)' -> vec(D_i)'
+    (L (x) L), with A = L L', which makes V = I; unwhitened, the moment sums
+    cancel and h is noise by cond(D_i) 1e6. L is A's closed-form Cholesky
+    factor, l22 = sqrt(det A / a11), so any A with a11, det A > 0 factors.
+    With row-major vec, D_i and G_i = D_i^{-1} whitened, DD = sum_i vec(D_i)
+    vec(D_i)', Kg = sum_i G_i (x) G_i, Kd = sum_i D_i (x) D_i, P = sum_i G_i^2
+    and <X, Y> the elementwise product's sum (each Kronecker product or sum
+    an axis permutation of vec outer products):
       b1 = 2 <Kd, vec(P) vec(P)'> / n^2
-      b2 = (<Kg (V (x) V) Kg, DD> + <Kg Kd Kg, V (x) V>) / n^2
-      b3 = b2 - <sum_i vec(Q_i) vec(G_i)', Kd + DD> / n^2
-    Each Kronecker product or sum is an axis permutation of a vec outer
-    product or sum, and the only per-study work is Q_i and those sums.
+      b2 = <Kg Kg, Kd + DD> / n^2
+      b3 = b2 - <sum_i vec(G_i^2) vec(G_i)', Kd + DD> / n^2
     """
-    r, n = g.shape[:2]
-    d4, g4, v4 = dmats.reshape(r, n, 4), g.reshape(r, n, 4), v.reshape(r, 1, 4)
-    q4 = (g @ v[:, None] @ g).reshape(r, n, 4)
+    r, n = dmats.shape[:2]
+    l = np.zeros_like(a)
+    l[:, :, 0] = a[:, :, 0] / np.sqrt(a[:, :1, 0])
+    l[:, 1, 1] = np.sqrt((a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) / a[:, 0, 0])
+    lk = (l[:, :, None, :, None] * l[:, None, :, None, :]).reshape(r, 4, 4)
+    d4 = dmats.reshape(r, n, 4) @ lk
+    g = _inv2(d4.reshape(r, n, 2, 2))
+    g4, q4 = g.reshape(r, n, 4), (g @ g).reshape(r, n, 4)
     p4 = q4.sum(axis=1, keepdims=True)
-    gg, dd, vo, pp, qg = (
-        np.swapaxes(x, 1, 2) @ y for x, y in ((g4, g4), (d4, d4), (v4, v4), (p4, p4), (q4, g4))
-    )
-    kg, kd, vv = (m.reshape(r, 2, 2, 2, 2).swapaxes(2, 3).reshape(r, 4, 4) for m in (gg, dd, vo))
+    gg, dd, pp, qg = (np.swapaxes(x, 1, 2) @ y for x, y in ((g4, g4), (d4, d4), (p4, p4), (q4, g4)))
+    kg, kd = (m.reshape(r, 2, 2, 2, 2).swapaxes(2, 3).reshape(r, 4, 4) for m in (gg, dd))
 
     b1 = 2.0 * (kd * pp).sum(axis=(1, 2)) / n**2
-    b2 = (((kg @ vv @ kg) * dd).sum(axis=(1, 2)) + ((kg @ kd @ kg) * vv).sum(axis=(1, 2))) / n**2
+    b2 = ((kg @ kg) * (kd + dd)).sum(axis=(1, 2)) / n**2
     b3 = b2 - (qg * (kd + dd)).sum(axis=(1, 2)) / n**2
     return b1, b2, b3
 
@@ -175,7 +176,7 @@ def confidence_region(
 
     b, h = None, 0.0
     if method == "ccr":
-        b = _b_terms(dmats, g, v)
+        b = _b_terms(dmats, a)
         h = h_adjust(b, x=x)
 
     region = ConfidenceRegion(
@@ -221,5 +222,4 @@ def region_boundary(r: ConfidenceRegion, m: int = 256) -> np.ndarray:
     l = np.linalg.cholesky(r.shape.as_array())
     t = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     circle = np.stack([np.cos(t), np.sin(t)])
-    pts = np.asarray(r.center) + math.sqrt(r.threshold) * (l @ circle).T
-    return pts
+    return np.asarray(r.center) + math.sqrt(r.threshold) * (l @ circle).T

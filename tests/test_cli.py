@@ -761,9 +761,9 @@ class TestValidateCommand:
             float.fromhex("0x1.2a878322d8d7bp-3"),
         )
         assert expected == (
-            float.fromhex("0x1.53b6dce89b608p-2"),
-            float.fromhex("0x1.e875dc036696fp-2"),
-            float.fromhex("-0x1.5db1de19d6b90p-6"),
+            float.fromhex("0x1.53b6dce89b604p-2"),
+            float.fromhex("0x1.e875dc036696cp-2"),
+            float.fromhex("-0x1.5db1de19d6ba0p-6"),
         )
 
     def test_unknown_preset_raises_value_error(self):

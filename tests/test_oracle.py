@@ -23,7 +23,7 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
-from dtameta import estimators, oracle
+from dtameta import estimators, oracle, regions
 from dtameta.cli import DESIGN_SEED, read_table
 from dtameta.estimators import _d_stack
 from dtameta.simlab import gen_within_variances
@@ -310,6 +310,16 @@ class TestMcCoverage:
         with pytest.raises(ValueError):
             mc_coverage(cfg, alpha=1.0)
 
+    @pytest.mark.parametrize("estimate", [mc_coverage, mc_b_moments])
+    def test_singular_truth_rejected_before_the_cholesky(self, estimate):
+        # Sigma passes OracleConfig's PSD tolerance, yet D_1 = Sigma + S_1 has a11 < 0
+        cfg = OracleConfig(
+            n=2, sigma_true=Sym2(-5e-11, 0.0, 1.0), within_vars=((1e-12, 1.0),) * 2,
+            reps=1000, seed=0,
+        )
+        with pytest.raises(ValueError, match="singular or indefinite marginal covariance D_i"):
+            estimate(cfg)
+
     @pytest.mark.slow
     def test_small_n_coverage_profile(self):
         # n = 8 with strong heterogeneity: the naive region undercovers badly
@@ -343,9 +353,10 @@ class TestMcCoverage:
         assert 0.0 < cov <= 1.0
 
     def test_callers_that_drop_v_never_form_it(self, monkeypatch, fixtures_dir):
-        # REML's objective and the naive region read the summed precision A,
-        # never V = A^{-1}: only the (..., n, 2, 2) D stacks are inverted, by
-        # LAPACK's inv gufunc (which np.linalg.inv wraps) or by the closed-form _inv2
+        # REML's objective and both Monte Carlo regions read the summed precision
+        # A, never V = A^{-1}: only the (..., n, 2, 2) D stacks, whitened or not,
+        # are inverted, by LAPACK's inv gufunc (which np.linalg.inv wraps) or by
+        # the closed-form _inv2
         shapes = []
 
         def counting(inv):
@@ -358,13 +369,14 @@ class TestMcCoverage:
         d = read_table(fixtures_dir / "synthetic14.csv")
         monkeypatch.setattr(_umath_linalg, "inv", counting(_umath_linalg.inv))
         inv2 = counting(estimators._inv2)
-        for module in (estimators, oracle):
+        for module in (estimators, oracle, regions):
             monkeypatch.setattr(module, "_inv2", inv2)
         reml_sigma(d)
         assert shapes and (2, 2) not in shapes
-        shapes.clear()
-        mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
-        assert shapes and all(len(shape) == 4 for shape in shapes)
+        for method in ("ncr", "ccr"):
+            shapes.clear()
+            mc_coverage(homogeneous_config(6, 100, 8), method=method)
+            assert shapes and all(len(shape) == 4 for shape in shapes)
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_runs_clean_under_warnings_as_errors(self, method):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dtameta import (
 )
 from dtameta import estimators, regions
 from dtameta.cli import read_table
-from dtameta.estimators import _d_stack, _precisions
+from dtameta.estimators import _checked_precisions, _d_stack, _precisions
 from dtameta.oracle import _CHUNK_ROWS
 from dtameta.regions import _b_star_kernel
 
@@ -116,6 +117,134 @@ def b_star_reference(d: Dataset, sigma: Sym2):
     return float(b1), float(b2), float(b3)
 
 
+def _mul(*ms):
+    """Product of 2 x 2 matrices held as (m11, m12, m21, m22) tuples."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = (
+            out[0] * m[0] + out[1] * m[2],
+            out[0] * m[1] + out[1] * m[3],
+            out[2] * m[0] + out[3] * m[2],
+            out[2] * m[1] + out[3] * m[3],
+        )
+    return out
+
+
+def _add(ms):
+    return tuple(map(sum, zip(*ms)))
+
+
+def _inv(m):
+    det = m[0] * m[3] - m[1] * m[2]
+    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+
+
+def _tr(m):
+    return m[0] + m[3]
+
+
+def b_star_exact(sigma: Sym2, s) -> tuple[Fraction, Fraction, Fraction]:
+    """The three trace statistics in exact rational arithmetic, from the definitions.
+
+    Every float is an exact rational and every step is +, -, x or / of 2 x 2
+    matrices, so this is the exact value for D_i = Sigma + diag(s_i), with no
+    round-off to cancel. Index sums move inside a trace only where the
+    definitions allow it, as P = sum_j G_j V G_j and W_i = sum_j U_{jij}.
+    """
+    a11, a12, a22 = map(Fraction, (sigma.a11, sigma.a12, sigma.a22))
+    dm = [(a11 + Fraction(sa), a12, a12, a22 + Fraction(sb)) for sa, sb in s]
+    g = [_inv(m) for m in dm]
+    v = _inv(_add(g))
+    n = len(dm)
+    p = _add([_mul(gj, v, gj) for gj in g])
+    b1 = 2 * sum(_tr(_mul(p, di, p, di)) for di in dm)
+    # tr(V U_{jik}) = tr(D_i M_jk) = tr(V U_{kij}) with M_jk = G_k V G_j, as D_i is symmetric
+    m = [_mul(gk, v, gj) for gj in g for gk in g]
+    t2 = sum(_tr(_mul(di, mjk)) ** 2 for di in dm for mjk in m)
+    t1 = sum(_tr(_mul(w, v, w, v)) for w in (_add([_mul(gj, di, gj) for gj in g]) for di in dm))
+    c = sum(
+        _tr(_mul(v, gi, dj, gi, dj, gi)) + _tr(_mul(gi, dj)) * _tr(_mul(v, gi, dj, gi))
+        for gi in g for dj in dm
+    )
+    return b1 / n**2, (t1 + t2) / n**2, (t1 + t2 - c) / n**2
+
+
+def h_exact(b: tuple[Fraction, Fraction, Fraction], x: float) -> Fraction:
+    b1, b2, b3 = b
+    return -(b1 / 4 - b2 / 2 + 2 * b3) / 2 + Fraction(x) * (b1 / 4 + b2 / 2) / 8
+
+
+def rank_one_tables() -> dict[str, tuple[Sym2, np.ndarray]]:
+    """Rank-one Sigma over precise studies: 14 tables of 3 to 8 studies from default_rng(11).
+
+    s is log-uniform in [0.01, 1] and Sigma = c u u' with u a random unit
+    vector and c 1e3 to 1e7 times the geometric mean of s, so the largest
+    cond(D_i) runs from about 1e4 to 1e7.
+    """
+    rng = np.random.default_rng(11)
+    tables = {}
+    for k in range(14):
+        n = int(rng.integers(3, 9))
+        ratio = 10.0 ** rng.uniform(3, 7)
+        s = 10.0 ** rng.uniform(-2, 0, size=(n, 2))
+        theta = rng.uniform(0, math.pi)
+        u = np.array([math.cos(theta), math.sin(theta)]) * math.sqrt(
+            ratio * float(np.exp(np.log(s).mean()))
+        )
+        tables[f"rank_one_{k:02d}"] = (Sym2.from_array(np.outer(u, u)), s)
+    return tables
+
+
+RANK_ONE = rank_one_tables()
+
+
+class TestExactTraceTerms:
+    def test_exact_reference_matches_literal_triple_sum(self):
+        rng = np.random.default_rng(101)
+        d = random_dataset(rng, 5)
+        sigma = Sym2(0.4, 0.1, 0.3)
+        for exact, ref in zip(b_star_exact(sigma, d.arrays()[1]), b_star_reference(d, sigma)):
+            assert float(exact) == pytest.approx(ref, rel=1e-12)
+
+    # the tables of the set on which contracting unwhitened D and G moments
+    # with V misses h by 4e-7 to 0.16
+    @pytest.mark.parametrize(
+        "name", ["rank_one_01", "rank_one_02", "rank_one_04", "rank_one_05", "rank_one_07",
+                 "rank_one_08", "rank_one_09", "rank_one_11", "rank_one_12"]
+    )
+    def test_h_on_rank_one_sigma(self, name):
+        # bound fixed in advance: |h / h_exact - 1| <= 1e-7 up to cond(D_i) = 1e8
+        sigma, s = RANK_ONE[name]
+        d = make_dataset(np.zeros_like(s), s)
+        assert np.linalg.cond(_d_stack(s, sigma.as_array())).max() <= 1e8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdjustmentMagnitudeWarning)
+            h = h_adjust(b_star(d, sigma), x=X05)
+        assert abs(h / float(h_exact(b_star_exact(sigma, s), X05)) - 1.0) <= 1e-7
+
+    def test_synthetic14_within_round_off(self, fixtures_dir):
+        d = read_table(str(fixtures_dir / "synthetic14.csv"))
+        sigma = estimators.bias_corrected_sigma(d)
+        exact = b_star_exact(sigma, d.arrays()[1])
+        b = b_star(d, sigma)
+        for got, ref in zip((b.b1, b.b2, b.b3), exact):
+            assert abs(Fraction(got) - ref) <= 1e-14 * abs(exact[1])
+
+    def test_barely_positive_definite_precision_factors(self):
+        # det A is 2e-16 a11 a22 after round-off, so A passes the singularity
+        # guard by a hair and a LAPACK Cholesky of A may refuse it; the closed
+        # form factor, l22 = sqrt(det A / a11), takes every A the guard accepts
+        sigma = Sym2(855403538552451.6, -487955578312950.06, 278348914489702.78)
+        s = [(0.06434972802953318, 0.09233432782774748), (0.5508993857305967, 0.001569680449865254)]
+        d = make_dataset([(0.0, 0.0)] * 2, s)
+        _, _, a, _ = _checked_precisions(d, sigma)
+        assert 0.0 < a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] < 1e-15 * a[0, 0] * a[1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = b_star(d, sigma)
+        assert all(map(math.isfinite, (b.b1, b.b2, b.b3)))
+
+
 class TestBStar:
     @pytest.mark.parametrize("n,seed", [(5, 101), (7, 102)])
     def test_matches_literal_triple_sum(self, n, seed):
@@ -187,11 +316,10 @@ class TestBStar:
         rng = np.random.default_rng(seed)
         s = rng.uniform(0.01, 1.0, size=(r, n, 2))
         l = np.tril(rng.uniform(-1.0, 1.0, size=(r, 2, 2)))
-        d, g, a = _precisions(s, l @ np.swapaxes(l, -1, -2))
-        v = np.linalg.inv(a)
-        stacked = _b_star_kernel(d, g, v)
+        d, _, a = _precisions(s, l @ np.swapaxes(l, -1, -2))
+        stacked = _b_star_kernel(d, a)
         for i in range(r):
-            single = _b_star_kernel(d[i : i + 1], g[i : i + 1], v[i : i + 1])
+            single = _b_star_kernel(d[i : i + 1], a[i : i + 1])
             for term_stack, term_single in zip(stacked, single):
                 assert term_stack[i] == term_single[0]
 
@@ -201,8 +329,8 @@ class TestBStar:
         sigmas = [Sym2(0.4, 0.1, 0.3), Sym2(0.25, -0.15, 0.09), Sym2(0.0, 0.0, 0.0)]
         datasets = [random_dataset(rng, 6) for _ in sigmas]
         s = np.stack([d.arrays()[1] for d in datasets])
-        d, g, a = _precisions(s, np.stack([sigma.as_array() for sigma in sigmas]))
-        stacked = _b_star_kernel(d, g, np.linalg.inv(a))
+        d, _, a = _precisions(s, np.stack([sigma.as_array() for sigma in sigmas]))
+        stacked = _b_star_kernel(d, a)
         for i, (dataset, sigma) in enumerate(zip(datasets, sigmas)):
             for term, ref in zip(stacked, b_star_reference(dataset, sigma)):
                 assert term[i] == pytest.approx(ref, rel=1e-12)
@@ -267,6 +395,46 @@ class TestHAdjust:
         for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 h_adjust(BTerms(0.1, 0.1, 0.0), x=x)
+
+
+def equal_studies_coverage(n: int, t: float) -> float:
+    """Exact P(W <= t) for the region statistic W of n equal studies, unclamped moment fit.
+
+    With one common S, D_hat = (1 + 1/n) M where n M ~ Wishart_2(D, n - 1) is
+    independent of the mean, so W = T^2 n^2 / ((n + 1)(n - 1)) with T^2
+    Hotelling's, and T^2 (n - 2) / (2 (n - 1)) ~ F(2, n - 2) (Hotelling 1931),
+    whose CDF is closed form: P(W <= t) = 1 - (1 + t (n + 1) / n^2)^(-(n - 2)/2).
+    """
+    return -math.expm1(-(n - 2) / 2 * math.log1p(t * (n + 1) / n**2))
+
+
+class TestEqualStudiesExactCoverage:
+    SIZES = [2**k for k in range(3, 11)]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_naive_region_misses_by_order_one_over_n(self, alpha):
+        # n (NCR - (1 - alpha)) -> -(1 + x/2) x f_2(x), the term h removes, at rate O(1/n)
+        x = chi2_quantile(alpha)
+        limit = -(1.0 + x / 2.0) * x * 0.5 * math.exp(-x / 2.0)
+        for n in self.SIZES:
+            scaled = n * (equal_studies_coverage(n, x) - (1.0 - alpha))
+            assert scaled < 0.5 * limit
+            assert n * abs(scaled - limit) <= 3.0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_corrected_region_misses_by_order_one_over_n_squared(self, alpha):
+        x = chi2_quantile(alpha)
+        for n in self.SIZES:
+            ccr = equal_studies_coverage(n, x * (1.0 + (1.0 + x / 2.0) / n))
+            assert n**2 * abs(ccr - (1.0 - alpha)) <= 4.0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_h_of_equal_studies(self, alpha, n):
+        x = chi2_quantile(alpha)
+        d = make_dataset([(0.0, 0.0)] * n, [(0.2, 0.35)] * n)
+        h = h_adjust(b_star(d, Sym2(0.4, 0.12, 0.5)), x=x)
+        assert h == pytest.approx((1.0 + x / 2.0) / n, rel=1e-12)
 
 
 class TestConfidenceRegion:

@@ -17,7 +17,9 @@ in the code they load. The commands:
   (equal studies: the covariance clamp fires, the SROC curve is omitted and
   REML exits 2) and on saturated.csv (logits beyond +-40, where the ROC
   coordinates round to exactly 1); fit --svg also on special_ids.csv, whose
-  ids hold &, <, >, " and ';
+  ids hold &, <, >, " and '; fit --json on rank_one_precise.csv, eight
+  studies with variances near 5e-6 whose moment fit clamps to rank one, so
+  the largest cond(D_i) is about 3e5 and the trace terms are ill-conditioned;
 - simulate on the README grid and on an edge grid (tau2 = 0, n = 2 and 3),
   and validate on each preset at seeds 0 and 1;
 - snippets: mc_coverage and mc_b_moments on the presets; reml_sigma on the
@@ -182,6 +184,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                                                    "--out", "region.csv"]))
     cmds.append(("fit_special_ids", cli + ["fit", "--input", str(FIXTURES / "special_ids.csv"),
                                            "--json", "fit.json", "--svg", "fit.svg"]))
+    cmds.append(("fit_rank_one_precise", cli + [
+        "fit", "--input", str(FIXTURES / "rank_one_precise.csv"), "--json", "fit.json"]))
     cmds.append(("transforms", ["-c", _TRANSFORMS]))
     cmds.append(("namespace", ["-c", _NAMESPACE]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
