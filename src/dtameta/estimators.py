@@ -23,6 +23,7 @@ from .model import (
     PsdProjectionWarning,
     RemlConvergenceWarning,
     Sym2,
+    _all_pd,
 )
 
 __all__ = [
@@ -40,11 +41,13 @@ def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Marginal covariances D_i = Sigma + diag(s_i), shape (..., n, 2, 2).
 
     sigma is (..., 2, 2) and s (..., n, 2) with the same leading axes, or one
-    (n, 2) design shared by every Sigma in the stack.
+    (n, 2) design for every Sigma. A D_i failing model._all_pd raises ValueError.
     """
     d = np.repeat(sigma[..., None, :, :], s.shape[-2], axis=-3)
     d[..., 0, 0] += s[..., 0]
     d[..., 1, 1] += s[..., 1]
+    if not _all_pd(d):
+        raise ValueError("singular or indefinite marginal covariance D_i")
     return d
 
 
@@ -60,15 +63,20 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chol2(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L, m = L L', of each 2x2 of a (..., 2, 2) stack passing _all_pd."""
+    l = np.zeros_like(m)
+    l[..., :, 0] = m[..., :, 0] / np.sqrt(m[..., :1, 0])
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    l[..., 1, 1] = np.sqrt(det / m[..., 0, 0])
+    return l
+
+
 def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unchecked GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
+    """GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
 
     The one place D_i is inverted; sigma and s are as for _d_stack. Callers
-    that need V = A^{-1} invert A themselves. The closed-form inverse raises
-    nothing: a singular D_i divides by zero, with a RuntimeWarning and
-    non-finite G. So every caller checks each D_i first (_checked_precisions,
-    mc_b_moments) or passes one that is positive definite by construction:
-    the PSD-clamped estimate plus positive within-study variances (_rep_fit).
+    that need V = A^{-1} invert A themselves.
     """
     d = _d_stack(s, sigma)
     g = _inv2(d)
@@ -87,23 +95,15 @@ def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x0, x1], axis=-1)
 
 
-def _check_d(s: np.ndarray, sigma: np.ndarray) -> None:
-    """Raise ValueError unless every D_i = Sigma + diag(s_i) is positive definite; s is (n, 2)."""
-    d11 = sigma[0, 0] + s[:, 0]
-    if (d11 <= 0).any() or (d11 * (sigma[1, 1] + s[:, 1]) - sigma[0, 1] * sigma[0, 1] <= 0).any():
-        raise ValueError("singular or indefinite marginal covariance D_i")
-
-
 def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sym2]:
-    """(D, G, A, V) of one dataset; each D_i is checked from Sigma and s before inversion."""
+    """(D, G, A, V) of one dataset, with each D_i, A and V positive definite by model._all_pd."""
     _, s = d.arrays()
     if d.n == 0:
         raise DataError("empty dataset")
-    _check_d(s, sigma.as_array())
     dmats, g, a = _precisions(s, sigma.as_array())
-    if a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] <= 0 or a[0, 0] <= 0:
+    if not (_all_pd(a) and _all_pd(v := _inv2(a))):
         raise ValueError("accumulated precision is singular")
-    return dmats, g, a, Sym2.from_array(_inv2(a))
+    return dmats, g, a, Sym2.from_array(v)
 
 
 def ols_beta(d: Dataset) -> np.ndarray:

@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _all_pd(m: np.ndarray) -> bool:
+    """Whether every 2x2 of a (..., 2, 2) stack has m11 > 0 and det > 0; NaN fails."""
+    m11 = m[..., 0, 0]
+    det = m11 * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return bool(np.minimum(m11, det).min(initial=math.inf) > 0)
+
+
 class DataError(ValueError):
     """Raised when a dataset violates a structural precondition."""
 
@@ -123,7 +130,13 @@ class Sym2:
         return (half_trace - disc, half_trace + disc)
 
     def is_psd(self, tol: float = 1e-10) -> bool:
-        return self.eigenvalues()[0] >= -tol
+        """Whether the smaller eigenvalue is at least -tol times the larger |eigenvalue|.
+
+        The tolerance is relative, so the verdict does not change with the
+        matrix's scale; the zero matrix passes.
+        """
+        lo, hi = self.eigenvalues()
+        return lo >= -tol * max(-lo, hi)
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a12
@@ -185,7 +198,7 @@ class ConfidenceRegion:
                 f"region threshold {self.threshold:.4g} is not positive "
                 f"(threshold factor 1 + h = {1.0 + self.h:.4g})"
             )
-        if self.shape.eigenvalues()[0] <= 0:
+        if not _all_pd(self.shape.as_array()):
             raise ValueError("region shape matrix must be positive definite")
         if self.method == "ncr" and self.h != 0.0:
             raise ValueError("naive region must carry h = 0")

@@ -10,12 +10,8 @@ fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
 precision kernel (_precisions) with them, and inverts the summed precision
-A into V itself (_inv2). The analytic trace kernel never forms V: as its
-moment sums cancel once some D_i is ill-conditioned, it first maps
-D_i -> L' D_i L with A = L L', which keeps every trace and makes V = I, then
-takes b1 = 2 <Kd, vec P vec P'> / n^2, b2 = <Kg^2, S> / n^2 and
-b3 = b2 - <sum_i vec G_i^2 vec G_i', S> / n^2 with G_i the whitened
-precisions, P = sum_i G_i^2 and S = Kd + DD. mc_coverage measures the
+A into V itself (_inv2). The analytic trace kernel (regions._b_star_kernel,
+whose docstring gives its formulas) never forms V. mc_coverage measures the
 coverage the corrected region attains, with the same replication fit as
 simlab (_rep_fit), which skips the trace terms for the naive region.
 
@@ -38,9 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    _check_d, _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp,
-)
+from .estimators import _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
 from .regions import _b_star_kernel, _h_value, chi2_quantile
 
@@ -238,8 +232,7 @@ def _rep_fit(y: np.ndarray, s: np.ndarray, x: float | None) -> tuple[np.ndarray,
     replication. Returns (q, h) from the same precision kernel as the public
     fit: q (R,) is the quadratic form of the pooled mean about (0, 0), and h
     (R,) the threshold adjustment at x. With x None (the naive region) the
-    trace terms are skipped and h is zeros. Nothing is checked: the clamped
-    estimate plus positive s_i is positive definite.
+    trace terms are skipped and h is zeros.
     """
     sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
     d, g, a = _precisions(s, sig_hat)
@@ -279,14 +272,11 @@ def mc_b_moments(
     if cfg.reps < 1000:
         raise ValueError("B-moment estimation needs at least 1000 replications")
     s = cfg.s_array()
-    truth = cfg.sigma_true.as_array()
-    _check_d(s, truth)
-    d_true, _, a_true = _precisions(s, truth)
+    d_true, _, a_true = _precisions(s, cfg.sigma_true.as_array())
     v_true = _inv2(a_true)
 
     if sigma_hat_override is not None:
         override = sigma_hat_override.as_array()
-        _check_d(s, override)
         k = (_inv2(_precisions(s, override)[2]) - v_true) @ a_true
         return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
 
@@ -340,7 +330,6 @@ def mc_coverage(
         raise ValueError("coverage estimation needs at least 100 replications")
 
     s = cfg.s_array()
-    _check_d(s, cfg.sigma_true.as_array())
     chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
     x_ccr = x if method == "ccr" else None
     q, h = _by_chunk(

@@ -7,9 +7,13 @@ corrected region inflates the threshold by a factor 1 + h built from three
 trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
-confidence_region takes D, G, A and V from the checked precision kernel in
-estimators; the trace kernel reads only D and A. The Monte Carlo checks of
-the region live in oracle, which reuses that kernel and the h formula below.
+One positive-definiteness rule (model._all_pd) checks each D_i where
+estimators builds it, A and V in the checked precision kernel that
+confidence_region reads D, G, A and V from, and a region's shape. Every
+matrix it passes has the closed-form Cholesky factor estimators._chol2,
+which whitens A in the trace kernel (it reads only D and A) and draws the
+region boundary. The Monte Carlo checks of the region live in oracle, which
+reuses that kernel and the h formula below.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import warnings
 
 import numpy as np
 
-from .estimators import _checked_precisions, _gls_mean, _inv2, bias_corrected_sigma, reml_sigma
+from .estimators import (
+    _checked_precisions, _chol2, _gls_mean, _inv2, bias_corrected_sigma, reml_sigma,
+)
 from .model import (
     AdjustmentMagnitudeWarning,
     BTerms,
@@ -84,8 +90,8 @@ def _b_star_kernel(dmats: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.nda
     only indexes replications, so each row is computed as it would be alone.
     The traces are unchanged by D_i -> L' D_i L, or vec(D_i)' -> vec(D_i)'
     (L (x) L), with A = L L', which makes V = I; unwhitened, the moment sums
-    cancel and h is noise by cond(D_i) 1e6. L is A's closed-form Cholesky
-    factor, l22 = sqrt(det A / a11), so any A with a11, det A > 0 factors.
+    cancel and h is noise by cond(D_i) 1e6. L = _chol2(A), which factors
+    every A that passes model._all_pd.
     With row-major vec, D_i and G_i = D_i^{-1} whitened, DD = sum_i vec(D_i)
     vec(D_i)', Kg = sum_i G_i (x) G_i, Kd = sum_i D_i (x) D_i, P = sum_i G_i^2
     and <X, Y> the elementwise product's sum (each Kronecker product or sum
@@ -95,9 +101,7 @@ def _b_star_kernel(dmats: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.nda
       b3 = b2 - <sum_i vec(G_i^2) vec(G_i)', Kd + DD> / n^2
     """
     r, n = dmats.shape[:2]
-    l = np.zeros_like(a)
-    l[:, :, 0] = a[:, :, 0] / np.sqrt(a[:, :1, 0])
-    l[:, 1, 1] = np.sqrt((a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) / a[:, 0, 0])
+    l = _chol2(a)
     lk = (l[:, :, None, :, None] * l[:, None, :, None, :]).reshape(r, 4, 4)
     d4 = dmats.reshape(r, n, 4) @ lk
     g = _inv2(d4.reshape(r, n, 2, 2))
@@ -213,13 +217,13 @@ def region_contains(r: ConfidenceRegion, beta0) -> bool:
 def region_boundary(r: ConfidenceRegion, m: int = 256) -> np.ndarray:
     """m points on the boundary ellipse, ordered by angle, shape (m, 2).
 
-    Points are center + sqrt(threshold) * L [cos t, sin t]' with L the
-    Cholesky factor of the shape matrix, so each satisfies the boundary
-    equation to rounding error.
+    Points are center + sqrt(threshold) * L [cos t, sin t]' with L = _chol2 of
+    the shape matrix, which every shape ConfidenceRegion accepts has, so each
+    satisfies the boundary equation to rounding error.
     """
     if m < 3:
         raise ValueError("need at least 3 boundary points")
-    l = np.linalg.cholesky(r.shape.as_array())
+    l = _chol2(r.shape.as_array())
     t = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     circle = np.stack([np.cos(t), np.sin(t)])
     return np.asarray(r.center) + math.sqrt(r.threshold) * (l @ circle).T

@@ -407,6 +407,20 @@ class TestRegionCommand:
             q = (v22 * dx * dx - 2.0 * v12 * dx * dy + v11 * dy * dy) / det
             assert q == pytest.approx(ccr["threshold"], abs=1e-9)
 
+    @pytest.mark.parametrize("table", ["collinear_shape", "collinear_lapack"])
+    def test_collinear_tables_fit_and_draw(self, capsys, fixtures_dir, tmp_path, table):
+        # each fit passes the one positive-definiteness rule on D_i, A and V,
+        # so its region shape is accepted and factored, and its boundary drawn
+        path = str(fixtures_dir / f"{table}.csv")
+        svg = tmp_path / "fit.svg"
+        assert main(["fit", "--input", path, "--json", str(tmp_path / "fit.json"),
+                     "--svg", str(svg)]) == 0
+        ET.parse(svg)
+        for space in ("logit", "roc"):
+            assert main(["region", "--input", path, "--space", space]) == 0
+            _, pts = parse_point_csv(capsys.readouterr().out)
+            assert len(pts) == 256 and np.isfinite(pts).all()
+
     def test_roc_space_matches_transform(self, capsys, summary_table):
         main(["region", "--input", summary_table, "--space", "logit", "--points", "32"])
         _, logit_pts = parse_point_csv(capsys.readouterr().out)
@@ -545,6 +559,17 @@ class TestSimulateCommand:
         assert code == 2
         assert "tau2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_singular_d_exits_2(self, capsys):
+        # the clamped rank-one estimate swamps s_i, so some D_i rounds to singular
+        argv = ["simulate", "--tau2", "1e16", "--rho", "0.5", "--n", "2", "--reps", "200",
+                "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: singular or indefinite marginal covariance D_i\n"
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "grid.csv"

@@ -67,6 +67,26 @@ class TestOracleConfig:
             OracleConfig(n=1, sigma_true=Sym2(0.1, 0.5, 0.1),
                          within_vars=((0.1, 0.1),), reps=1000, seed=0)
 
+    def test_rank_one_truths_accepted_at_any_scale(self):
+        # Sym2.is_psd's tolerance is relative to the larger |eigenvalue|, so a
+        # rank-one truth of scale 1e4 to 1e10, whose smaller eigenvalue rounds
+        # to about -1e-10, is PSD at every scale
+        rng = np.random.default_rng(2)
+        scale = 10.0 ** rng.uniform(4.0, 10.0, 2000)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 2000)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        for m in scale[:, None, None] * u[:, :, None] * u[:, None, :]:
+            OracleConfig(n=1, sigma_true=Sym2.from_array(m),
+                         within_vars=((0.1, 0.1),), reps=1000, seed=0)
+
+    def test_tiny_indefinite_truth_rejected(self):
+        # eigenvalues (-5e-11, 1e-12): indefinite whatever its scale
+        sigma = Sym2(1e-12, 0.0, -5e-11)
+        assert not sigma.is_psd()
+        with pytest.raises(ValueError, match="sigma_true must be PSD"):
+            OracleConfig(n=1, sigma_true=sigma, within_vars=((0.1, 0.1),), reps=1000, seed=0)
+        assert Sym2(0.0, 0.0, 0.0).is_psd()
+
     def test_nonpositive_reps_rejected(self):
         with pytest.raises(ValueError):
             homogeneous_config(2, 0, 0)

@@ -24,9 +24,11 @@ from dtameta import (
 )
 from dtameta import estimators, regions
 from dtameta.cli import read_table
-from dtameta.estimators import _checked_precisions, _d_stack, _precisions
-from dtameta.oracle import _CHUNK_ROWS
-from dtameta.regions import _b_star_kernel
+from dtameta.estimators import (
+    _checked_precisions, _d_stack, _gls_mean, _moment_bc_array, _precisions, _psd_clamp,
+)
+from dtameta.oracle import _CHUNK_ROWS, OracleConfig, _by_chunk, _draw_stack, _rep_fit
+from dtameta.regions import _b_star_kernel, _h_value
 
 X05 = 5.991464547107982  # -2 log 0.05
 
@@ -436,6 +438,37 @@ class TestEqualStudiesExactCoverage:
         h = h_adjust(b_star(d, Sym2(0.4, 0.12, 0.5)), x=x)
         assert h == pytest.approx((1.0 + x / 2.0) / n, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_monte_carlo_matches_where_unclamped(self, n):
+        # On the oracle's own equal-study draws (seed and replication count fixed
+        # before the first run), the unclamped fit's NCR and CCR coverage match the
+        # formula at 3 SE. The clamp changes only the clamped replications, so it
+        # moves each coverage by at most the run's clamp rate.
+        x = chi2_quantile(0.05)
+        cfg = OracleConfig(
+            n=n, sigma_true=Sym2(0.4, 0.1, 0.3), within_vars=((0.2, 0.35),) * n,
+            reps=30_000, seed=1400 + n,
+        )
+        s = cfg.s_array()
+        chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
+
+        def step(reps):
+            y = _draw_stack(cfg, reps, chol)
+            sig = _moment_bc_array(y, s)
+            d, g, a = _precisions(s, sig)
+            beta = _gls_mean(g, a, y)[..., None]
+            q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
+            h = _h_value(*_b_star_kernel(d, a), x)
+            q_c, h_c = _rep_fit(y, s, x)
+            return q <= x, q <= x * (1 + h), q_c <= x, q_c <= x * (1 + h_c), _psd_clamp(sig)[1]
+
+        ncr, ccr, ncr_c, ccr_c, clamp_rate = _by_chunk(cfg.reps, n, 5, step).mean(axis=0)
+        for got, t in ((ncr, x), (ccr, x * (1.0 + (1.0 + x / 2.0) / n))):
+            p = equal_studies_coverage(n, t)
+            assert abs(got - p) <= 3.0 * math.sqrt(p * (1.0 - p) / cfg.reps)
+        assert abs(ncr_c - ncr) <= clamp_rate
+        assert abs(ccr_c - ccr) <= clamp_rate
+
 
 class TestConfidenceRegion:
     @pytest.fixture
@@ -583,6 +616,87 @@ class TestRegionBoundary:
     def test_minimum_point_count(self):
         with pytest.raises(ValueError):
             region_boundary(UNIT_REGION, m=2)
+
+
+def barely_positive_definite(e11, e22, u, negative):
+    """Sym2 with a11 = 10^e11, a22 = 10^e22 and a12 = +-sqrt(a11 a22) (1 - u)."""
+    a11, a22 = 10.0**e11, 10.0**e22
+    return Sym2(a11, (-1.0 if negative else 1.0) * math.sqrt(a11 * a22) * (1.0 - u), a22)
+
+
+BARELY_PD = st.builds(
+    barely_positive_definite,
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 4e-16), st.booleans(),
+)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def passes_rule(m: Sym2) -> bool:
+    """The positive-definiteness rule, written out: a11 > 0 and det > 0."""
+    return m.a11 > 0 and m.det() > 0
+
+
+class TestOnePositiveDefinitenessRule:
+    def test_predicate_on_stacks(self):
+        from dtameta.model import _all_pd
+
+        good = np.array([[2.0, 1.0], [1.0, 1.0]])
+        assert _all_pd(good) and _all_pd(np.stack([good, np.eye(2)]))
+        assert _all_pd(np.empty((0, 2, 2)))
+        for bad in (np.ones((2, 2)), -np.eye(2), np.diag([math.nan, 1.0])):
+            assert not _all_pd(np.stack([good, bad]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=BARELY_PD)
+    # shapes that pass by a hair: the closed-form smaller eigenvalue rounds to
+    # a negative number on the first, and LAPACK's Cholesky refuses the second
+    @example(shape=barely_positive_definite(0.75, 2.38, 3.102742760980774e-16, True))
+    @example(shape=barely_positive_definite(0.6, -2.6, 9.462023056240869e-17, False))
+    def test_every_shape_that_passes_has_a_region(self, shape):
+        # each passing shape builds a region whose boundary points satisfy
+        # w' adj(V) w = x det V, with w = p - c, to the rounding of its terms
+        if not passes_rule(shape):
+            return
+        r = ConfidenceRegion((0.0, 0.0), shape, X05, 0.0, 0.05, "ncr")
+        w = region_boundary(r, m=64)
+        assert np.isfinite(w).all()
+        w1, w2 = w.T
+        terms = np.stack([shape.a22 * w1**2, -2.0 * shape.a12 * w1 * w2, shape.a11 * w2**2])
+        rounding = 64 * np.finfo(float).eps * abs(terms).sum(axis=0)
+        assert (abs(terms.sum(axis=0) - X05 * shape.det()) <= rounding).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=BARELY_PD,
+        scale=log_uniform(12.0, 17.0),
+        s=st.lists(st.tuples(*[log_uniform(-2.0, 0.0)] * 2), min_size=1, max_size=2),
+    )
+    # A passes by a hair, and its closed-form inverse rounds det V to 0
+    @example(
+        shape=Sym2(2.0021037411870544e17, 6.812351480629964e16, 2.3179684319517696e16),
+        scale=1.0,
+        s=[(0.026525941113256582, 0.43226149285673376)],
+    )
+    @example(
+        shape=Sym2(1455226655245197.2, -929396371561686.2, 593569127090024.9),
+        scale=1.0,
+        s=[
+            (0.018663473021727158, 0.022866217707125845),
+            (0.08507498662777674, 0.06822775227462999),
+        ],
+    )
+    def test_checked_precisions_returns_only_a_passing_v(self, shape, scale, s):
+        sigma = Sym2(scale * shape.a11, scale * shape.a12, scale * shape.a22)
+        try:
+            v = _checked_precisions(make_dataset([(0.0, 0.0)] * len(s), s), sigma)[3]
+        except ValueError:
+            return
+        assert passes_rule(v)
+        r = ConfidenceRegion((0.0, 0.0), v, X05, 0.0, 0.05, "ncr")
+        assert np.isfinite(region_boundary(r)).all()
 
 
 class TestRegionArea:

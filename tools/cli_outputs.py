@@ -20,8 +20,14 @@ in the code they load. The commands:
   ids hold &, <, >, " and '; fit --json on rank_one_precise.csv, eight
   studies with variances near 5e-6 whose moment fit clamps to rank one, so
   the largest cond(D_i) is about 3e5 and the trace terms are ill-conditioned;
+  fit --json --svg and region --space roc on collinear_shape.csv and
+  collinear_lapack.csv, three collinear studies each whose region shape V
+  passes the positive-definiteness rule by a hair (a closed-form smaller
+  eigenvalue, or LAPACK's Cholesky, would refuse it);
 - simulate on the README grid and on an edge grid (tau2 = 0, n = 2 and 3),
-  and validate on each preset at seeds 0 and 1;
+  on tau2 = 1e16 with n = 2 (the clamped rank-one estimate makes some D_i
+  round to singular, so it exits 2), and validate on each preset at seeds 0
+  and 1;
 - snippets: mc_coverage and mc_b_moments on the presets; reml_sigma on the
   fixture, 40 seeded tables and 15 near-boundary ones (tau2 = 0 at n = 3 and
   5, correlation 0.999), also capped at max_iter 2, 5 and 40 with each
@@ -186,12 +192,20 @@ def _commands() -> list[tuple[str, list[str]]]:
                                            "--json", "fit.json", "--svg", "fit.svg"]))
     cmds.append(("fit_rank_one_precise", cli + [
         "fit", "--input", str(FIXTURES / "rank_one_precise.csv"), "--json", "fit.json"]))
+    for table in ("collinear_shape", "collinear_lapack"):
+        path = str(FIXTURES / f"{table}.csv")
+        cmds.append((f"fit_{table}", cli + ["fit", "--input", path, "--json", "fit.json",
+                                             "--svg", "fit.svg"]))
+        cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
+                                                   "--out", "region.csv"]))
     cmds.append(("transforms", ["-c", _TRANSFORMS]))
     cmds.append(("namespace", ["-c", _NAMESPACE]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
                                            "--n", "8,16", "--reps", "300", "--seed", "7"]))
     cmds.append(("simulate_edges", cli + ["simulate", "--tau2", "0,0.8", "--rho", "-0.5",
                                           "--n", "2,3", "--reps", "500", "--seed", "3"]))
+    cmds.append(("simulate_singular_d", cli + ["simulate", "--tau2", "1e16", "--rho", "0.5",
+                                               "--n", "2", "--reps", "200", "--seed", "1"]))
     for preset in ("homogeneous", "heterogeneous", "degenerate"):
         for seed in ("0", "1"):
             cmds.append((f"validate_{preset}_seed{seed}", cli + [
