@@ -165,7 +165,7 @@ def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     changed = np.zeros(len(flat), dtype=bool)
     rest = np.flatnonzero(~pd)
     if rest.size:
-        w, q = np.linalg.eigh(flat[rest])
+        w, q = np.linalg.eigh(flat[rest])  # LAPACK's eigh: the mask must equal eigh's
         neg = w[:, 0] < 0
         changed[rest[neg]] = True
     if not changed.any():
@@ -245,11 +245,11 @@ def _restricted_nll(y: np.ndarray, s: np.ndarray):
             det = d11 * d22 - s12 * s12
             (a11, a12), (_, a22) = a.tolist()
             det_a = a11 * a22 - a12**2
-        except (FloatingPointError, OverflowError):  # singular D; exp or a12**2 past float range
+            if det_a <= 0 or np.count_nonzero(det <= 0):
+                return math.inf
+            beta = solve(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")
+        except (FloatingPointError, OverflowError):  # singular D or A; exp or a12**2 overflows
             return math.inf
-        if det_a <= 0 or np.count_nonzero(det <= 0):
-            return math.inf
-        beta = solve(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")
         r = y - beta
         quad = float(np.einsum("ia,iab,ib->", r, g, r))
         return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
@@ -340,7 +340,12 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
 
     # the PSD-projected moment estimate, symmetrized as bias_corrected_sigma returns it
     start_sigma = Sym2.from_array(_psd_clamp(_moment_bc_array(y, s))[0]).as_array()
-    l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
+    try:  # LAPACK's factor, not _chol2: its bits set theta0 and so REML's simplex path
+        l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
+    except np.linalg.LinAlgError:
+        raise DataError(
+            "REML start (the PSD-projected moment estimate plus 1e-8 I) is not positive definite"
+        ) from None
     theta0 = [math.log(l[0, 0]), float(l[1, 0]), math.log(l[1, 1])]
 
     x, stopped = _nelder_mead(_restricted_nll(y, s), theta0, max_iter)

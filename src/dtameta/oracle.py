@@ -23,8 +23,9 @@ draw reads replication r's rep_stream(seed, r) as one block of 2n standard
 normals; the stream states of the whole chunk are derived at once and set
 on one generator in turn (_stream_states, _normal_blocks, which simlab
 shares), and the block is colored on the whole stack by each D_i's lower
-Cholesky factor L, written out as y1 = l11 z1 and y2 = l21 z1 + l22 z2. The
-fit then runs once on the stack.
+Cholesky factor L from the closed form the fit uses (estimators._chol2), so
+every truth whose D_i pass model._all_pd draws; it is written out as
+y1 = l11 z1 and y2 = l21 z1 + l22 z2. The fit then runs once on the stack.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
+from .estimators import _chol2, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
 from .regions import _b_star_kernel, _h_value, chi2_quantile
 
@@ -275,16 +276,16 @@ def mc_b_moments(
     d_true, _, a_true = _precisions(s, cfg.sigma_true.as_array())
     v_true = _inv2(a_true)
 
-    if sigma_hat_override is not None:
-        override = sigma_hat_override.as_array()
-        k = (_inv2(_precisions(s, override)[2]) - v_true) @ a_true
-        return BTerms(*map(float, _k_stats(k))), (0.0, 0.0, 0.0)
+    def stats_at(sig_hat: np.ndarray):  # _k_stats of K = (V(Sigma_hat) - V) A
+        return _k_stats((_inv2(_precisions(s, sig_hat)[2]) - v_true) @ a_true)
 
-    chol = np.linalg.cholesky(d_true)
+    if sigma_hat_override is not None:
+        return BTerms(*map(float, stats_at(sigma_hat_override.as_array()))), (0.0, 0.0, 0.0)
+
+    chol = _chol2(d_true)
 
     def step(reps: range):
-        sig_hat, _ = _psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))
-        return _k_stats((_inv2(_precisions(s, sig_hat)[2]) - v_true) @ a_true)
+        return stats_at(_psd_clamp(_moment_bc_array(_draw_stack(cfg, reps, chol), s))[0])
 
     stats = _by_chunk(cfg.reps, cfg.n, 3, step)
     means = stats.mean(axis=0)
@@ -330,7 +331,7 @@ def mc_coverage(
         raise ValueError("coverage estimation needs at least 100 replications")
 
     s = cfg.s_array()
-    chol = np.linalg.cholesky(_d_stack(s, cfg.sigma_true.as_array()))
+    chol = _chol2(_precisions(s, cfg.sigma_true.as_array())[0])
     x_ccr = x if method == "ccr" else None
     q, h = _by_chunk(
         cfg.reps, cfg.n, 2, lambda reps: _rep_fit(_draw_stack(cfg, reps, chol), s, x_ccr)

@@ -209,8 +209,7 @@ def region_contains(r: ConfidenceRegion, beta0) -> bool:
     if p.shape != (2,):
         raise ValueError("beta0 must be a length-2 point")
     diff = p - c
-    vinv = np.linalg.inv(r.shape.as_array())
-    q = float(diff @ vinv @ diff)
+    q = float(diff @ _inv2(r.shape.as_array()) @ diff)
     return q <= r.threshold
 
 

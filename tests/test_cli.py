@@ -421,6 +421,24 @@ class TestRegionCommand:
             _, pts = parse_point_csv(capsys.readouterr().out)
             assert len(pts) == 256 and np.isfinite(pts).all()
 
+    def test_collinear_lapack_fits_both_estimators(self, capsys, fixtures_dir):
+        # LAPACK's solve of REML's summed precision meets a singular A on the
+        # simplex path; the objective maps that to +inf, as it does a singular D_i
+        code, rep = run_fit_json(
+            capsys, "--input", str(fixtures_dir / "collinear_lapack.csv"), "--estimator", "both"
+        )
+        assert code == 0
+        assert set(rep["reml"]) == {"beta", "sigma", "v", "regions"}
+
+    def test_refused_reml_start_exits_2_naming_it(self, capsys, fixtures_dir):
+        # the clamped moment estimate is rank one of scale 5e14, so 1e-8 I rounds away
+        path = str(fixtures_dir / "collinear_shape.csv")
+        assert main(["fit", "--input", path, "--estimator", "both"]) == 2
+        assert capsys.readouterr().err == (
+            "error: REML start (the PSD-projected moment estimate plus 1e-8 I)"
+            " is not positive definite\n"
+        )
+
     def test_roc_space_matches_transform(self, capsys, summary_table):
         main(["region", "--input", summary_table, "--space", "logit", "--points", "32"])
         _, logit_pts = parse_point_csv(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 from dtameta import (
@@ -376,7 +376,9 @@ class TestMcCoverage:
         # REML's objective and both Monte Carlo regions read the summed precision
         # A, never V = A^{-1}: only the (..., n, 2, 2) D stacks, whitened or not,
         # are inverted, by LAPACK's inv gufunc (which np.linalg.inv wraps) or by
-        # the closed-form _inv2
+        # the closed-form _inv2; mc_coverage's are the truth's, from the
+        # precision kernel, then one chunk of 100 replications' (and for the
+        # corrected region the trace kernel's whitened one)
         shapes = []
 
         def counting(inv):
@@ -393,10 +395,10 @@ class TestMcCoverage:
             monkeypatch.setattr(module, "_inv2", inv2)
         reml_sigma(d)
         assert shapes and (2, 2) not in shapes
-        for method in ("ncr", "ccr"):
+        for method, chunk_stacks in (("ncr", 1), ("ccr", 2)):
             shapes.clear()
             mc_coverage(homogeneous_config(6, 100, 8), method=method)
-            assert shapes and all(len(shape) == 4 for shape in shapes)
+            assert shapes == [(6, 2, 2)] + [(100, 6, 2, 2)] * chunk_stacks
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_runs_clean_under_warnings_as_errors(self, method):
@@ -419,6 +421,69 @@ class TestMcCoverage:
         cfg = homogeneous_config(6, 100, 8)
         _, _, med = mc_coverage(cfg, method="ncr")
         assert med == 0.0
+
+
+# a rank-one truth whose D_i pass model._all_pd but whose first D_i LAPACK's
+# Cholesky refuses; a replication's Sigma_hat then makes a D_i fail the rule
+RANK_ONE_TRUTH = Sym2(7.271121008453897e17, -9.191167182965154e16, 1.161822971822313e16)
+RANK_ONE_DESIGN = (
+    (0.004978732110473153, 0.2544730154631358),
+    (0.5896448087486738, 0.006286237960711253),
+    (0.04138121356739469, 0.021294060661170462),
+    (0.6209433036483197, 0.001322915587268277),
+)
+
+
+class TestDrawFactor:
+    # the draws are colored by the fit's closed-form factor _chol2, so every
+    # truth whose D_i pass the one positive-definiteness rule draws, and a
+    # refusal is the rule's own ValueError (LinAlgError is a subclass of it)
+    @pytest.mark.parametrize("estimate", [mc_coverage, mc_b_moments])
+    def test_rank_one_truth_gets_the_rules_error(self, estimate):
+        cfg = OracleConfig(
+            n=4, sigma_true=RANK_ONE_TRUTH, within_vars=RANK_ONE_DESIGN, reps=1000, seed=0
+        )
+        _d_stack(cfg.s_array(), RANK_ONE_TRUTH.as_array())  # the truth's D_i pass
+        with pytest.raises(ValueError, match="singular or indefinite marginal") as got:
+            estimate(cfg)
+        assert type(got.value) is ValueError
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_scale=st.floats(8.0, 20.0),
+        angle=st.floats(0.0, math.pi),
+        log_s=st.lists(st.tuples(*[st.floats(-3.0, 0.0)] * 2), min_size=1, max_size=4),
+    )
+    def test_rank_one_truths_draw_or_get_the_rules_error(self, log_scale, angle, log_s):
+        u = np.array([math.cos(angle), math.sin(angle)])
+        sigma = Sym2.from_array(10.0**log_scale * np.outer(u, u))
+        s = 10.0 ** np.array(log_s)
+        assume(sigma.is_psd())
+        try:
+            _d_stack(s, sigma.as_array())
+        except ValueError:
+            assume(False)
+        cfg = OracleConfig(
+            n=len(s), sigma_true=sigma, within_vars=tuple(map(tuple, s)), reps=100, seed=0
+        )
+        try:
+            with warnings.catch_warnings():
+                # a replication's A may round to singular: its q is NaN, a miss
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mc_coverage(cfg, "ncr")
+        except ValueError as exc:
+            assert type(exc) is ValueError, repr(exc)
+
+    def test_estimates_need_no_lapack_cholesky(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("LAPACK's Cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        cfg = homogeneous_config(6, 1000, 8, sigma=Sym2(0.3, 0.1, 0.2))
+        bt, _ = mc_b_moments(cfg)
+        assert all(map(math.isfinite, (bt.b1, bt.b2, bt.b3)))
+        for method in ("ncr", "ccr"):
+            assert 0.0 < mc_coverage(cfg, method)[0] <= 1.0
 
 
 class TestChunking:

@@ -23,19 +23,23 @@ in the code they load. The commands:
   fit --json --svg and region --space roc on collinear_shape.csv and
   collinear_lapack.csv, three collinear studies each whose region shape V
   passes the positive-definiteness rule by a hair (a closed-form smaller
-  eigenvalue, or LAPACK's Cholesky, would refuse it);
+  eigenvalue, or LAPACK's Cholesky, would refuse it), and fit --estimator
+  both on each (REML's start is refused on the first, and its objective meets
+  a singular summed precision on the second);
 - simulate on the README grid and on an edge grid (tau2 = 0, n = 2 and 3),
   on tau2 = 1e16 with n = 2 (the clamped rank-one estimate makes some D_i
   round to singular, so it exits 2), and validate on each preset at seeds 0
   and 1;
-- snippets: mc_coverage and mc_b_moments on the presets; reml_sigma on the
-  fixture, 40 seeded tables and 15 near-boundary ones (tau2 = 0 at n = 3 and
-  5, correlation 0.999), also capped at max_iter 2, 5 and 40 with each
-  warning's full text; float.hex of every coordinate that to_roc_space and
-  sroc_curve return on fixed inputs, row by row, so it runs on any return
-  type that iterates as rows of two numbers; and namespace, the sorted
-  dtameta.__all__ and the sorted public names of dir(dtameta), so the check
-  also covers the package's API;
+- snippets: mc_coverage and mc_b_moments on the presets, and on a rank-one
+  truth whose D_i pass the positive-definiteness rule but whose first D_i
+  LAPACK's Cholesky refuses (each prints its result or its error);
+  reml_sigma on the fixture, 40 seeded tables and 15 near-boundary ones
+  (tau2 = 0 at n = 3 and 5, correlation 0.999), also capped at max_iter 2, 5
+  and 40 with each warning's full text; float.hex of every coordinate that
+  to_roc_space and sroc_curve return on fixed inputs, row by row, so it runs
+  on any return type that iterates as rows of two numbers; and namespace,
+  the sorted dtameta.__all__ and the sorted public names of dir(dtameta), so
+  the check also covers the package's API;
 - thirteen bad-input commands, each meant to exit 2: a short row
   (short_row.csv), a non-integer count (bad_count.csv), a missing input, an
   unwritable --json, validate --reps 999, simulate --rho 1, simulate
@@ -80,6 +84,21 @@ from dtameta.cli import validation_preset
 from dtameta.oracle import mc_b_moments
 cfg, _, _ = validation_preset({preset!r}, 2000, 0)
 print(repr(mc_b_moments(cfg)))
+"""
+
+_RANK_ONE_TRUTH = """
+from dtameta import OracleConfig, Sym2, mc_b_moments, mc_coverage
+sigma = Sym2(7.271121008453897e17, -9.191167182965154e16, 1.161822971822313e16)
+s = ((0.004978732110473153, 0.2544730154631358), (0.5896448087486738, 0.006286237960711253),
+     (0.04138121356739469, 0.021294060661170462), (0.6209433036483197, 0.001322915587268277))
+cfg = OracleConfig(n=4, sigma_true=sigma, within_vars=s, reps=1000, seed=0)
+for name, run in [("mc_coverage_ncr", lambda: mc_coverage(cfg, "ncr")),
+                  ("mc_coverage_ccr", lambda: mc_coverage(cfg, "ccr")),
+                  ("mc_b_moments", lambda: mc_b_moments(cfg))]:
+    try:
+        print(name, repr(run()))
+    except ValueError as exc:
+        print(name, type(exc).__name__, exc)
 """
 
 _BAD_SEED = """
@@ -198,6 +217,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                                              "--svg", "fit.svg"]))
         cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
                                                    "--out", "region.csv"]))
+        cmds.append((f"fit_{table}_both", cli + ["fit", "--input", path, "--estimator", "both",
+                                                  "--json", "fit.json"]))
     cmds.append(("transforms", ["-c", _TRANSFORMS]))
     cmds.append(("namespace", ["-c", _NAMESPACE]))
     cmds.append(("simulate_readme", cli + ["simulate", "--tau2", "0.2,0.4", "--rho", "0,0.4",
@@ -216,6 +237,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         cmds.append((f"mc_coverage_{preset}_{method}", ["-c", code]))
     for preset in ("homogeneous", "heterogeneous"):
         cmds.append((f"mc_b_moments_{preset}", ["-c", _MC_B_MOMENTS.format(preset=preset)]))
+    cmds.append(("mc_rank_one_truth", ["-c", _RANK_ONE_TRUTH]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
     for name, argv in [
