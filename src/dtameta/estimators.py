@@ -75,12 +75,14 @@ def _chol2(m: np.ndarray) -> np.ndarray:
 def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
 
-    The one place D_i is inverted; sigma and s are as for _d_stack. Callers
-    that need V = A^{-1} invert A themselves.
+    The one place D_i is inverted and A summed; sigma and s are as for _d_stack. An A
+    failing model._all_pd raises ValueError. Callers that need V = A^{-1} invert A themselves.
     """
     d = _d_stack(s, sigma)
     g = _inv2(d)
-    return d, g, g.sum(axis=-3)
+    if not _all_pd(a := g.sum(axis=-3)):
+        raise ValueError("accumulated precision is singular")
+    return d, g, a
 
 
 def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -95,15 +97,12 @@ def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x0, x1], axis=-1)
 
 
-def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sym2]:
-    """(D, G, A, V) of one dataset, with each D_i, A and V positive definite by model._all_pd."""
+def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_precisions (D, G, A) of one dataset, which must not be empty."""
     _, s = d.arrays()
     if d.n == 0:
         raise DataError("empty dataset")
-    dmats, g, a = _precisions(s, sigma.as_array())
-    if not (_all_pd(a) and _all_pd(v := _inv2(a))):
-        raise ValueError("accumulated precision is singular")
-    return dmats, g, a, Sym2.from_array(v)
+    return _precisions(s, sigma.as_array())
 
 
 def ols_beta(d: Dataset) -> np.ndarray:
@@ -116,13 +115,16 @@ def ols_beta(d: Dataset) -> np.ndarray:
 
 def gls_beta(d: Dataset, sigma: Sym2) -> np.ndarray:
     """Precision-weighted pooled mean with weights (Sigma + S_i)^{-1}."""
-    _, g, a, _ = _checked_precisions(d, sigma)
+    _, g, a = _checked_precisions(d, sigma)
     return _gls_mean(g, a, d.arrays()[0])
 
 
 def v_matrix(d: Dataset, sigma: Sym2) -> Sym2:
     """Covariance of the GLS pooled mean: the inverse of the summed precisions."""
-    return _checked_precisions(d, sigma)[3]
+    v = _inv2(_checked_precisions(d, sigma)[2])
+    if not _all_pd(v):
+        raise ValueError("accumulated precision is singular")
+    return Sym2.from_array(v)
 
 
 def moment_sigma0(d: Dataset) -> Sym2:

@@ -9,11 +9,11 @@ This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
-precision kernel (_precisions) with them, and inverts the summed precision
-A into V itself (_inv2). The analytic trace kernel (regions._b_star_kernel,
-whose docstring gives its formulas) never forms V. mc_coverage measures the
-coverage the corrected region attains, with the same replication fit as
-simlab (_rep_fit), which skips the trace terms for the naive region.
+precision kernel (_precisions, which refuses a singular summed precision A
+in every replication, as the fit does) with them, and inverts A into V
+itself (_inv2). mc_coverage measures the coverage the corrected region
+attains with simlab's replication fit (_rep_fit), which skips the trace
+terms for the naive region, and reads only the truth's D_i (_d_stack).
 
 Every Monte Carlo loop, here and in simlab, is one _by_chunk call: chunks
 of at most _CHUNK_ROWS replication x study rows, each run by a step whose
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _chol2, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
+from .estimators import _chol2, _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
 from .regions import _b_star_kernel, _h_value, chi2_quantile
 
@@ -331,7 +331,7 @@ def mc_coverage(
         raise ValueError("coverage estimation needs at least 100 replications")
 
     s = cfg.s_array()
-    chol = _chol2(_precisions(s, cfg.sigma_true.as_array())[0])
+    chol = _chol2(_d_stack(s, cfg.sigma_true.as_array()))
     x_ccr = x if method == "ccr" else None
     q, h = _by_chunk(
         cfg.reps, cfg.n, 2, lambda reps: _rep_fit(_draw_stack(cfg, reps, chol), s, x_ccr)

@@ -8,12 +8,12 @@ trace statistics of the precision weights (b1, b2, b3 below). For n
 identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
 One positive-definiteness rule (model._all_pd) checks each D_i where
-estimators builds it, A and V in the checked precision kernel that
-confidence_region reads D, G, A and V from, and a region's shape. Every
-matrix it passes has the closed-form Cholesky factor estimators._chol2,
-which whitens A in the trace kernel (it reads only D and A) and draws the
-region boundary. The Monte Carlo checks of the region live in oracle, which
-reuses that kernel and the h formula below.
+estimators builds it, A where the precision kernel sums it, and a region's
+shape: confidence_region inverts A into V, and ConfidenceRegion decides V.
+Every matrix the rule passes has the closed-form Cholesky factor
+estimators._chol2, which whitens A in the trace kernel (it reads only D
+and A) and draws the region boundary. The Monte Carlo checks of the region
+live in oracle, which reuses that kernel and the h formula below.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
     Building them is the only O(n) work, so time is linear in n and memory
     constant.
     """
-    dmats, _, a, _ = _checked_precisions(d, sigma)
+    dmats, _, a = _checked_precisions(d, sigma)
     return _b_terms(dmats, a)
 
 
@@ -175,8 +175,9 @@ def confidence_region(
         )
 
     sigma = reml_sigma(d) if estimator == "reml" else bias_corrected_sigma(d)
-    dmats, g, a, v = _checked_precisions(d, sigma)
+    dmats, g, a = _checked_precisions(d, sigma)
     beta = _gls_mean(g, a, d.arrays()[0])
+    v = Sym2.from_array(_inv2(a))
 
     b, h = None, 0.0
     if method == "ccr":

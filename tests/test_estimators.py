@@ -190,6 +190,23 @@ class TestPooledMeans:
             with pytest.raises(ValueError, match="accumulated precision is singular"):
                 entry(d, Sym2(c, c, c))
 
+    def test_only_the_readers_of_v_refuse_a_v_that_rounds_to_singular(self, monkeypatch):
+        # A passes the positive-definiteness rule by a hair and its closed-form
+        # inverse rounds det V to 0: the pooled mean and the trace terms read
+        # only D and A, so they are finite, and v_matrix and the region refuse V
+        sigma = Sym2(2.0021037411870544e17, 6.812351480629964e16, 2.3179684319517696e16)
+        d = make_dataset([(0.0, 0.0)], [(0.026525941113256582, 0.43226149285673376)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(gls_beta(d, sigma)).all()
+            b = b_star(d, sigma)
+            assert all(map(math.isfinite, (b.b1, b.b2, b.b3)))
+            with pytest.raises(ValueError, match="accumulated precision is singular"):
+                v_matrix(d, sigma)
+        monkeypatch.setattr(regions, "bias_corrected_sigma", lambda data: sigma)
+        with pytest.raises(ValueError, match="region shape matrix must be positive definite"):
+            confidence_region(d, "ncr")
+
 
 def eigh_clamp(m):
     """The PSD clamp with eigh on every matrix of a (k, 2, 2) stack: (clamped, mask)."""

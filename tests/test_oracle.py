@@ -376,9 +376,9 @@ class TestMcCoverage:
         # REML's objective and both Monte Carlo regions read the summed precision
         # A, never V = A^{-1}: only the (..., n, 2, 2) D stacks, whitened or not,
         # are inverted, by LAPACK's inv gufunc (which np.linalg.inv wraps) or by
-        # the closed-form _inv2; mc_coverage's are the truth's, from the
-        # precision kernel, then one chunk of 100 replications' (and for the
-        # corrected region the trace kernel's whitened one)
+        # the closed-form _inv2; mc_coverage reads the truth's D_i uninverted,
+        # so it inverts only one chunk of 100 replications' D stack (and for
+        # the corrected region the trace kernel's whitened one)
         shapes = []
 
         def counting(inv):
@@ -398,7 +398,7 @@ class TestMcCoverage:
         for method, chunk_stacks in (("ncr", 1), ("ccr", 2)):
             shapes.clear()
             mc_coverage(homogeneous_config(6, 100, 8), method=method)
-            assert shapes == [(6, 2, 2)] + [(100, 6, 2, 2)] * chunk_stacks
+            assert shapes == [(100, 6, 2, 2)] * chunk_stacks
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_runs_clean_under_warnings_as_errors(self, method):
@@ -411,6 +411,22 @@ class TestMcCoverage:
             warnings.simplefilter("error")
             _, _, median_h = mc_coverage(cfg, method=method)
         assert median_h > 1.0 if method == "ccr" else median_h == 0.0
+
+    @pytest.mark.parametrize("method", ["ncr", "ccr"])
+    def test_singular_replication_precision_is_refused(self, method):
+        # some replication's summed precision A rounds to singular: the lab
+        # refuses it with the public fit's error rather than count it a miss
+        cfg = OracleConfig(
+            n=2, sigma_true=Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56),
+            within_vars=((0.07250840085041983, 0.2604907992106054),
+                         (0.027343258573638195, 0.03825679791142379)),
+            reps=100, seed=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="accumulated precision is singular") as got:
+                mc_coverage(cfg, method)
+        assert type(got.value) is ValueError
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_returns_python_floats(self, method):
@@ -468,8 +484,8 @@ class TestDrawFactor:
         )
         try:
             with warnings.catch_warnings():
-                # a replication's A may round to singular: its q is NaN, a miss
-                warnings.simplefilter("ignore", RuntimeWarning)
+                # a replication's A may round to singular: the rule refuses it
+                warnings.simplefilter("error")
                 mc_coverage(cfg, "ncr")
         except ValueError as exc:
             assert type(exc) is ValueError, repr(exc)

@@ -21,6 +21,7 @@ from dtameta import (
     h_adjust,
     region_boundary,
     region_contains,
+    v_matrix,
 )
 from dtameta import estimators, regions
 from dtameta.cli import read_table
@@ -239,7 +240,7 @@ class TestExactTraceTerms:
         sigma = Sym2(855403538552451.6, -487955578312950.06, 278348914489702.78)
         s = [(0.06434972802953318, 0.09233432782774748), (0.5508993857305967, 0.001569680449865254)]
         d = make_dataset([(0.0, 0.0)] * 2, s)
-        _, _, a, _ = _checked_precisions(d, sigma)
+        _, _, a = _checked_precisions(d, sigma)
         assert 0.0 < a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] < 1e-15 * a[0, 0] * a[1, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -688,10 +689,10 @@ class TestOnePositiveDefinitenessRule:
             (0.08507498662777674, 0.06822775227462999),
         ],
     )
-    def test_checked_precisions_returns_only_a_passing_v(self, shape, scale, s):
+    def test_v_matrix_returns_only_a_passing_v(self, shape, scale, s):
         sigma = Sym2(scale * shape.a11, scale * shape.a12, scale * shape.a22)
         try:
-            v = _checked_precisions(make_dataset([(0.0, 0.0)] * len(s), s), sigma)[3]
+            v = v_matrix(make_dataset([(0.0, 0.0)] * len(s), s), sigma)
         except ValueError:
             return
         assert passes_rule(v)

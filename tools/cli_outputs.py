@@ -33,6 +33,10 @@ in the code they load. The commands:
 - snippets: mc_coverage and mc_b_moments on the presets, and on a rank-one
   truth whose D_i pass the positive-definiteness rule but whose first D_i
   LAPACK's Cholesky refuses (each prints its result or its error);
+  mc_coverage ncr and ccr on a rank-one truth where some replication's
+  summed precision A rounds to singular, and gls_beta, b_star and v_matrix
+  on a one-study table whose A passes the rule but whose V = A^{-1} rounds
+  to singular (each prints its result or its error);
   reml_sigma on the fixture, 40 seeded tables and 15 near-boundary ones
   (tau2 = 0 at n = 3 and 5, correlation 0.999), also capped at max_iter 2, 5
   and 40 with each warning's full text; float.hex of every coordinate that
@@ -97,6 +101,29 @@ for name, run in [("mc_coverage_ncr", lambda: mc_coverage(cfg, "ncr")),
                   ("mc_b_moments", lambda: mc_b_moments(cfg))]:
     try:
         print(name, repr(run()))
+    except ValueError as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+_SINGULAR_A_TRUTH = """
+from dtameta import OracleConfig, Sym2, mc_coverage
+sigma = Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56)
+s = ((0.07250840085041983, 0.2604907992106054), (0.027343258573638195, 0.03825679791142379))
+cfg = OracleConfig(n=2, sigma_true=sigma, within_vars=s, reps=100, seed=0)
+for method in ("ncr", "ccr"):
+    try:
+        print(method, repr(mc_coverage(cfg, method)))
+    except ValueError as exc:
+        print(method, type(exc).__name__, exc)
+"""
+
+_SINGULAR_V_TABLE = """
+from dtameta import Dataset, Study, Sym2, b_star, gls_beta, v_matrix
+sigma = Sym2(2.0021037411870544e17, 6.812351480629964e16, 2.3179684319517696e16)
+d = Dataset([Study(0.0, 0.0, 0.026525941113256582, 0.43226149285673376)])
+for name, entry in [("gls_beta", gls_beta), ("b_star", b_star), ("v_matrix", v_matrix)]:
+    try:
+        print(name, repr(entry(d, sigma)))
     except ValueError as exc:
         print(name, type(exc).__name__, exc)
 """
@@ -238,6 +265,8 @@ def _commands() -> list[tuple[str, list[str]]]:
     for preset in ("homogeneous", "heterogeneous"):
         cmds.append((f"mc_b_moments_{preset}", ["-c", _MC_B_MOMENTS.format(preset=preset)]))
     cmds.append(("mc_rank_one_truth", ["-c", _RANK_ONE_TRUTH]))
+    cmds.append(("mc_singular_a_truth", ["-c", _SINGULAR_A_TRUTH]))
+    cmds.append(("singular_v_table", ["-c", _SINGULAR_V_TABLE]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
     for name, argv in [
