@@ -158,7 +158,8 @@ def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     runs only on the rest, and of those only the matrices with a negative
     eigenvalue are rebuilt. The mask is therefore eigh's w[..., 0] < 0 on
     every input whose entry products do not underflow, near-singular ones
-    included.
+    included. A rebuilt matrix r is returned as 0.5 (r + r'), as Sym2.from_array
+    forms it, so the public and the Monte Carlo fits read one symmetric Sigma.
     """
     flat = m.reshape(-1, 2, 2)
     a11, a22 = flat[:, 0, 0], flat[:, 1, 1]
@@ -174,7 +175,8 @@ def _psd_clamp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return m, changed.reshape(m.shape[:-2])
     out = flat.copy()
     qn = q[neg]
-    out[rest[neg]] = (qn * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(qn, -1, -2)
+    r = (qn * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(qn, -1, -2)
+    out[rest[neg]] = 0.5 * (r + np.swapaxes(r, -1, -2))
     return out.reshape(m.shape), changed.reshape(m.shape[:-2])
 
 
@@ -340,8 +342,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     if np.allclose(y, y[0], rtol=0.0, atol=0.0):
         raise DataError("degenerate dataset: all study summaries identical")
 
-    # the PSD-projected moment estimate, symmetrized as bias_corrected_sigma returns it
-    start_sigma = Sym2.from_array(_psd_clamp(_moment_bc_array(y, s))[0]).as_array()
+    start_sigma = _psd_clamp(_moment_bc_array(y, s))[0]
     try:  # LAPACK's factor, not _chol2: its bits set theta0 and so REML's simplex path
         l = np.linalg.cholesky(start_sigma + 1e-8 * np.eye(2))
     except np.linalg.LinAlgError:

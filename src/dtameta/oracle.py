@@ -12,8 +12,9 @@ shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
 precision kernel (_precisions, which refuses a singular summed precision A
 in every replication, as the fit does) with them, and inverts A into V
 itself (_inv2). mc_coverage measures the coverage the corrected region
-attains with simlab's replication fit (_rep_fit), which skips the trace
-terms for the naive region, and reads only the truth's D_i (_d_stack).
+attains with the public fit run on the stack (regions._rep_fit, which
+simlab runs too and which skips the trace terms for the naive region), and
+reads only the truth's D_i (_d_stack).
 
 Every Monte Carlo loop, here and in simlab, is one _by_chunk call: chunks
 of at most _CHUNK_ROWS replication x study rows, each run by a step whose
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _chol2, _d_stack, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp
+from .estimators import _chol2, _d_stack, _inv2, _moment_bc_array, _precisions, _psd_clamp
 from .model import BTerms, DataError, Sym2
-from .regions import _b_star_kernel, _h_value, chi2_quantile
+from .regions import _rep_fit, chi2_quantile
 
 __all__ = [
     "OracleConfig",
@@ -224,24 +225,6 @@ def _by_chunk(reps: int, n: int, width: int, step) -> np.ndarray:
         chunk = range(lo, min(lo + size, reps))
         out[lo : chunk.stop] = np.column_stack(step(chunk))
     return out
-
-
-def _rep_fit(y: np.ndarray, s: np.ndarray, x: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Moment and GLS fit of R stacked Monte Carlo replications.
-
-    y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
-    replication. Returns (q, h) from the same precision kernel as the public
-    fit: q (R,) is the quadratic form of the pooled mean about (0, 0), and h
-    (R,) the threshold adjustment at x. With x None (the naive region) the
-    trace terms are skipped and h is zeros.
-    """
-    sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
-    d, g, a = _precisions(s, sig_hat)
-    beta = _gls_mean(g, a, y)[..., None]
-    q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
-    if x is None:
-        return q, np.zeros_like(q)
-    return q, _h_value(*_b_star_kernel(d, a), x)
 
 
 def _coverage(q: np.ndarray, h, x: float) -> tuple[float, float]:

@@ -9,22 +9,27 @@ identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 
 One positive-definiteness rule (model._all_pd) checks each D_i where
 estimators builds it, A where the precision kernel sums it, and a region's
-shape: confidence_region inverts A into V, and ConfidenceRegion decides V.
-Every matrix the rule passes has the closed-form Cholesky factor
-estimators._chol2, which whitens A in the trace kernel (it reads only D
-and A) and draws the region boundary. The Monte Carlo checks of the region
-live in oracle, which reuses that kernel and the h formula below.
+shape: confidence_region inverts A into V, and ConfidenceRegion decides V
+before any trace term is computed. Every matrix the rule passes has the
+closed-form Cholesky factor estimators._chol2, which whitens A in the trace
+kernel (it reads only D and A) and draws the region boundary.
+
+_rep_fit runs confidence_region's kernels (moment estimate, _psd_clamp,
+_precisions, GLS, trace kernel, h) on R stacked replications, so the Monte
+Carlo coverage of oracle and simlab is that of the public fit, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from .estimators import (
-    _checked_precisions, _chol2, _gls_mean, _inv2, bias_corrected_sigma, reml_sigma,
+    _checked_precisions, _chol2, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp,
+    bias_corrected_sigma, reml_sigma,
 )
 from .model import (
     AdjustmentMagnitudeWarning,
@@ -160,8 +165,9 @@ def confidence_region(
     estimator that its expansion assumes, so method="ccr" with
     estimator="reml" is rejected rather than silently recomputed.
 
-    Raises RegionUndefinedError, through ConfidenceRegion, when 1 + h <= 0
-    (no ellipse exists).
+    ConfidenceRegion refuses a shape V failing the positive-definiteness
+    rule before any trace term is computed, and raises RegionUndefinedError
+    when 1 + h <= 0 (no ellipse exists).
     """
     if method not in ("ncr", "ccr"):
         raise ValueError(f"unknown method {method!r}")
@@ -177,30 +183,33 @@ def confidence_region(
     sigma = reml_sigma(d) if estimator == "reml" else bias_corrected_sigma(d)
     dmats, g, a = _checked_precisions(d, sigma)
     beta = _gls_mean(g, a, d.arrays()[0])
-    v = Sym2.from_array(_inv2(a))
-
-    b, h = None, 0.0
+    center, v = (float(beta[0]), float(beta[1])), Sym2.from_array(_inv2(a))
+    region = ConfidenceRegion(center, v, x, 0.0, alpha, "ncr")
+    b = h = None
     if method == "ccr":
         b = _b_terms(dmats, a)
         h = h_adjust(b, x=x)
+        region = replace(region, threshold=x * (1.0 + h), h=h, method="ccr")
+    return region, FitResult(center, sigma, v, estimator, h, b)
 
-    region = ConfidenceRegion(
-        center=(float(beta[0]), float(beta[1])),
-        shape=v,
-        threshold=x * (1.0 + h),
-        h=h,
-        alpha=alpha,
-        method=method,
-    )
-    fit = FitResult(
-        beta=(float(beta[0]), float(beta[1])),
-        sigma=sigma,
-        v=v,
-        estimator=estimator,
-        h=h if method == "ccr" else None,
-        b=b,
-    )
-    return region, fit
+
+def _rep_fit(y: np.ndarray, s: np.ndarray, x: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """confidence_region's moment fit of R stacked Monte Carlo replications, warning-free.
+
+    y is (R, n, 2) and s (R, n, 2), or one (n, 2) design for every
+    replication. Runs the kernels confidence_region runs, on the stack:
+    the clamped moment estimate, _precisions, GLS, the trace kernel and h.
+    Returns (q, h): q (R,) is the quadratic form beta' A beta of the pooled
+    mean about (0, 0), and h (R,) the threshold adjustment at x. With x None
+    (the naive region) the trace terms are skipped and h is zeros.
+    """
+    sig_hat, _ = _psd_clamp(_moment_bc_array(y, s))
+    d, g, a = _precisions(s, sig_hat)
+    beta = _gls_mean(g, a, y)[..., None]
+    q = (np.swapaxes(beta, -1, -2) @ a @ beta)[:, 0, 0]
+    if x is None:
+        return q, np.zeros_like(q)
+    return q, _h_value(*_b_star_kernel(d, a), x)
 
 
 def region_contains(r: ConfidenceRegion, beta0) -> bool:

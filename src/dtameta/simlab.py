@@ -22,8 +22,8 @@ import numpy as np
 
 from .estimators import _i2_array
 from .model import Dataset, Study
-from .oracle import _by_chunk, _coverage, _normal_blocks, _rep_fit, rep_stream
-from .regions import chi2_quantile
+from .oracle import _by_chunk, _coverage, _normal_blocks, rep_stream
+from .regions import _rep_fit, chi2_quantile
 
 __all__ = [
     "Scenario",
@@ -226,8 +226,9 @@ def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     as one block of standard normals; the streams of a chunk are derived
     together and set in turn on one generator. The rejection-sampled
     variances, mu and the noise are read off the stacked blocks in stream
-    order, and the moment fit, GLS, trace terms and h (oracle._rep_fit, the
-    fit mc_coverage runs) then run once on the (R, n, 2) stacks of y and s.
+    order, and the moment fit, GLS, trace terms and h (regions._rep_fit, the
+    public fit on a stack, which mc_coverage runs too) then run once on the
+    (R, n, 2) stacks of y and s.
     No replication's numbers depend on the chunk it lands in: results are
     independent of chunking and of scenario order, and reproduce exactly
     for a fixed grid. The heterogeneity fraction is computed for each

@@ -209,11 +209,15 @@ class TestPooledMeans:
 
 
 def eigh_clamp(m):
-    """The PSD clamp with eigh on every matrix of a (k, 2, 2) stack: (clamped, mask)."""
+    """The PSD clamp with eigh on every matrix of a (k, 2, 2) stack, rebuilt ones symmetrized.
+
+    Returns (clamped, mask); a rebuilt matrix r is 0.5 (r + r'), as Sym2.from_array forms it.
+    """
     w, q = np.linalg.eigh(m)
     neg = w[:, 0] < 0
     out = m.copy()
-    out[neg] = (q[neg] * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(q[neg], -1, -2)
+    r = (q[neg] * np.maximum(w[neg], 0.0)[..., None, :]) @ np.swapaxes(q[neg], -1, -2)
+    out[neg] = 0.5 * (r + np.swapaxes(r, -1, -2))
     return out, neg
 
 

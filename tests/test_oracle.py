@@ -11,10 +11,12 @@ from dtameta import (
     DataError,
     Dataset,
     OracleConfig,
+    PsdProjectionWarning,
     Study,
     Sym2,
     b_star,
     bias_corrected_sigma,
+    confidence_region,
     expansion_coverage,
     h_adjust,
     mc_b_moments,
@@ -25,10 +27,21 @@ from dtameta import (
 )
 from dtameta import estimators, oracle, regions
 from dtameta.cli import DESIGN_SEED, read_table
-from dtameta.estimators import _d_stack
+from dtameta.estimators import _chol2, _d_stack
+from dtameta.oracle import _draw_stack
+from dtameta.regions import _rep_fit
 from dtameta.simlab import gen_within_variances
 
 X05 = 5.991464547107982
+
+
+# a rank-one truth on which some replications' D_i or summed precision A round to singular
+SINGULAR_A_TRUTH = OracleConfig(
+    n=2, sigma_true=Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56),
+    within_vars=((0.07250840085041983, 0.2604907992106054),
+                 (0.027343258573638195, 0.03825679791142379)),
+    reps=100, seed=0,
+)
 
 
 def homogeneous_config(n, reps, seed, s_val=0.2, sigma=None):
@@ -368,7 +381,7 @@ class TestMcCoverage:
         def fail(*args):
             raise AssertionError("trace kernel called for the naive region")
 
-        monkeypatch.setattr(oracle, "_b_star_kernel", fail)
+        monkeypatch.setattr(regions, "_b_star_kernel", fail)
         cov, _, _ = mc_coverage(homogeneous_config(6, 100, 8), method="ncr")
         assert 0.0 < cov <= 1.0
 
@@ -414,19 +427,35 @@ class TestMcCoverage:
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_singular_replication_precision_is_refused(self, method):
-        # some replication's summed precision A rounds to singular: the lab
-        # refuses it with the public fit's error rather than count it a miss
-        cfg = OracleConfig(
-            n=2, sigma_true=Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56),
-            within_vars=((0.07250840085041983, 0.2604907992106054),
-                         (0.027343258573638195, 0.03825679791142379)),
-            reps=100, seed=0,
-        )
+        # replication 1's clamped estimate leaves a D_i that rounds to singular:
+        # the lab refuses it with the public fit's error rather than count it a miss
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="accumulated precision is singular") as got:
-                mc_coverage(cfg, method)
+            with pytest.raises(ValueError, match="singular or indefinite marginal covariance D_i") as got:
+                mc_coverage(SINGULAR_A_TRUTH, method)
         assert type(got.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "rep, message",
+        [(1, "singular or indefinite marginal covariance D_i"),
+         (46, "accumulated precision is singular")],
+    )
+    def test_lab_and_public_fit_refuse_the_same_draw(self, rep, message):
+        # replication 46's D_i pass and its summed precision A rounds to singular
+        cfg = SINGULAR_A_TRUTH
+        s = cfg.s_array()
+        y = _draw_stack(cfg, range(rep, rep + 1), _chol2(_d_stack(s, cfg.sigma_true.as_array())))
+        for x in (None, X05):
+            with pytest.raises(ValueError, match=message):
+                _rep_fit(y, s, x)
+        d = Dataset(Study(*y[0, i], *s[i]) for i in range(cfg.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", PsdProjectionWarning)
+            for method in ("ncr", "ccr"):
+                with pytest.raises(ValueError, match=message) as got:
+                    confidence_region(d, method)
+                assert type(got.value) is ValueError
 
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_returns_python_floats(self, method):

@@ -28,8 +28,8 @@ from dtameta.cli import read_table
 from dtameta.estimators import (
     _checked_precisions, _d_stack, _gls_mean, _moment_bc_array, _precisions, _psd_clamp,
 )
-from dtameta.oracle import _CHUNK_ROWS, OracleConfig, _by_chunk, _draw_stack, _rep_fit
-from dtameta.regions import _b_star_kernel, _h_value
+from dtameta.oracle import _CHUNK_ROWS, OracleConfig, _by_chunk, _draw_stack
+from dtameta.regions import _b_star_kernel, _h_value, _rep_fit
 
 X05 = 5.991464547107982  # -2 log 0.05
 
@@ -547,6 +547,18 @@ class TestConfidenceRegion:
         with pytest.raises(RegionUndefinedError, match=rf"threshold factor 1 \+ h = {1.0 + h:g}\)"):
             confidence_region(dataset, method="ccr")
 
+    def test_shape_is_decided_before_the_trace_terms(self, monkeypatch):
+        # A passes the rule by a hair and V = A^{-1} rounds to singular: the
+        # corrected region is refused for its shape with no warning about an h
+        # (3.655 here) of a region that does not exist
+        sigma = Sym2(2.0021037411870544e17, 6.812351480629964e16, 2.3179684319517696e16)
+        d = make_dataset([(0.0, 0.0)], [(0.026525941113256582, 0.43226149285673376)])
+        monkeypatch.setattr(regions, "bias_corrected_sigma", lambda data: sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="region shape matrix must be positive definite"):
+                confidence_region(d, "ccr")
+
     def test_model_level_region_validation(self):
         with pytest.raises(RegionUndefinedError):
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), 0.0, 0.0, 0.05, "ccr")
@@ -554,6 +566,49 @@ class TestConfidenceRegion:
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 2.0, 1.0), 1.0, 0.0, 0.05, "ccr")
         with pytest.raises(ValueError):
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), 1.0, 0.1, 0.05, "ncr")
+
+
+def recipe_tables(count):
+    """(y, s) of the first count random tables drawn in turn from default_rng(7).
+
+    Each has n in 3..29 studies, tau2 in (0, 0.6), rho in (-0.9, 0.9) and
+    within-study variances in (0.02, 0.5).
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(3, 30))
+        tau2, rho = rng.uniform(0, 0.6), rng.uniform(-0.9, 0.9)
+        s = rng.uniform(0.02, 0.5, (n, 2))
+        sigma = tau2 * np.array([[1.0, rho], [rho, 1.0]])
+        y = rng.multivariate_normal([0, 0], sigma, n) + np.sqrt(s) * rng.standard_normal((n, 2))
+        yield y, s
+
+
+class TestRepFitIsTheFit:
+    def test_lab_fit_equals_public_fit_bit_for_bit(self):
+        # the first 300 tables of the recipe, fixed before the first run: 138
+        # clamp, and eigh's rebuild of 40 of those (table 7 the first) has
+        # off-diagonals that differ in the last bit before the clamp symmetrizes it
+        clamped = asymmetric = 0
+        for y, s in recipe_tables(300):
+            d = make_dataset(y, s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, fit = confidence_region(d, "ccr")
+            raw = _moment_bc_array(y[None], s[None])
+            sig_hat, changed = _psd_clamp(raw)
+            q, h = _rep_fit(y[None], s[None], X05)
+            beta = np.array(fit.beta)[None, :, None]
+            a = _checked_precisions(d, fit.sigma)[2][None]
+            assert np.array_equal(sig_hat[0], fit.sigma.as_array())
+            assert q[0] == (np.swapaxes(beta, -1, -2) @ a @ beta)[0, 0, 0]
+            assert h[0] == fit.h
+            if changed[0]:
+                clamped += 1
+                w, v = np.linalg.eigh(raw)
+                r = (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
+                asymmetric += bool(r[0, 0, 1] != r[0, 1, 0])
+        assert (clamped, asymmetric) == (138, 40)
 
 
 UNIT_REGION = ConfidenceRegion(

@@ -33,10 +33,15 @@ in the code they load. The commands:
 - snippets: mc_coverage and mc_b_moments on the presets, and on a rank-one
   truth whose D_i pass the positive-definiteness rule but whose first D_i
   LAPACK's Cholesky refuses (each prints its result or its error);
-  mc_coverage ncr and ccr on a rank-one truth where some replication's
-  summed precision A rounds to singular, and gls_beta, b_star and v_matrix
-  on a one-study table whose A passes the rule but whose V = A^{-1} rounds
-  to singular (each prints its result or its error);
+  mc_coverage ncr and ccr on a rank-one truth where a D_i of replication 1
+  and the summed precision A of replication 46 round to singular (each
+  prints the first error met), and gls_beta, b_star and v_matrix on a
+  one-study table whose A passes the rule but whose V = A^{-1} rounds to
+  singular (each prints its result or its error); lab_vs_fit, the repr of
+  the clamped covariance and of h from the Monte Carlo replication fit
+  (regions._rep_fit) and from confidence_region on the first table of the
+  default_rng(7) recipe of tests/test_regions.py whose clamp rebuilds the
+  covariance from eigh, so a difference between the two fits shows;
   reml_sigma on the fixture, 40 seeded tables and 15 near-boundary ones
   (tau2 = 0 at n = 3 and 5, correlation 0.999), also capped at max_iter 2, 5
   and 40 with each warning's full text; float.hex of every coordinate that
@@ -115,6 +120,30 @@ for method in ("ncr", "ccr"):
         print(method, repr(mc_coverage(cfg, method)))
     except ValueError as exc:
         print(method, type(exc).__name__, exc)
+"""
+
+# table 7 of recipe_tables in tests/test_regions.py: eigh's rebuild of its
+# clamped covariance has off-diagonals that differ in the last bit
+_LAB_VS_FIT = """
+import warnings
+import numpy as np
+from dtameta import Dataset, Study, chi2_quantile, confidence_region
+from dtameta.estimators import _moment_bc_array, _psd_clamp
+from dtameta.regions import _rep_fit
+rng = np.random.default_rng(7)
+for _ in range(8):
+    n = int(rng.integers(3, 30))
+    tau2, rho = rng.uniform(0, 0.6), rng.uniform(-0.9, 0.9)
+    s = rng.uniform(0.02, 0.5, (n, 2))
+    sigma = tau2 * np.array([[1.0, rho], [rho, 1.0]])
+    y = rng.multivariate_normal([0, 0], sigma, n) + np.sqrt(s) * rng.standard_normal((n, 2))
+lab_sigma = _psd_clamp(_moment_bc_array(y[None], s[None]))[0][0]
+_, lab_h = _rep_fit(y[None], s[None], chi2_quantile(0.05))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    _, fit = confidence_region(Dataset(Study(*y[i], *s[i]) for i in range(n)), "ccr")
+print("lab", *(repr(float(v)) for v in lab_sigma.ravel()), repr(float(lab_h[0])))
+print("fit", *(repr(v) for v in (fit.sigma.a11, fit.sigma.a12, fit.sigma.a12, fit.sigma.a22, fit.h)))
 """
 
 _SINGULAR_V_TABLE = """
@@ -267,6 +296,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     cmds.append(("mc_rank_one_truth", ["-c", _RANK_ONE_TRUTH]))
     cmds.append(("mc_singular_a_truth", ["-c", _SINGULAR_A_TRUTH]))
     cmds.append(("singular_v_table", ["-c", _SINGULAR_V_TABLE]))
+    cmds.append(("lab_vs_fit", ["-c", _LAB_VS_FIT]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
     for name, argv in [
