@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import os
 import sys
+import tempfile
 import warnings
 from typing import Sequence
 
@@ -31,7 +33,7 @@ from .model import (
 )
 from .oracle import OracleConfig, mc_b_moments, rep_stream
 from .regions import b_star, chi2_quantile, confidence_region, region_boundary
-from .simlab import Scenario, _write_atomic, gen_within_variances, grid_to_csv, run_grid
+from .simlab import Scenario, gen_within_variances, grid_to_csv, run_grid
 from .transforms import sroc_curve, summarize_counts, to_roc_space
 
 __all__ = ["main", "read_table", "validation_preset"]
@@ -114,10 +116,15 @@ def _read_fittable(path: str) -> Dataset:
 
 
 def _emit(outputs: Sequence[tuple[str, str | None]], source: str | None = None) -> None:
-    """Write each (text, path) pair: all files in one atomic call, then stdout for path None.
+    """Write each (text, path) pair: the files atomically, then stdout for path None.
 
-    Two paths that resolve to one file, or a path that resolves to the input
-    table source, are rejected before anything is written.
+    The package's one file writer. Two paths that resolve to one file, or a path that resolves to the input
+    table source, are rejected before anything is written. Each file is staged
+    as a temp file in its target's directory, and the temp files are renamed
+    onto their targets only once all are written; a target that is an existing
+    directory (onto which a rename would fail) is refused while staging, so a
+    failed call leaves no target touched. On failure every temp file is
+    removed and ValueError("cannot write <path>: <reason>") is raised.
     """
     files = [(path, text) for text, path in outputs if path is not None]
     source_real = None if source is None else os.path.realpath(source)
@@ -129,10 +136,24 @@ def _emit(outputs: Sequence[tuple[str, str | None]], source: str | None = None) 
         if real in seen:
             raise ValueError(f"outputs {seen[real]!r} and {path!r} name one file")
         seen[real] = path
+    staged: list[str] = []
     try:
-        _write_atomic(files)
-    except OSError as exc:
-        raise ValueError(f"cannot write {exc.filename}: {exc.strerror or exc}")
+        for target, text in files:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, (target, _) in zip(staged, files):
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise
     for text, path in outputs:
         if path is None:
             sys.stdout.write(text)

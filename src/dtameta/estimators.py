@@ -24,6 +24,7 @@ from .model import (
     RemlConvergenceWarning,
     Sym2,
     _all_pd,
+    _det2,
 )
 
 __all__ = [
@@ -53,22 +54,23 @@ def _d_stack(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _inv2(m: np.ndarray) -> np.ndarray:
     """Inverse of each 2x2 of a (..., 2, 2) stack: the adjugate over the determinant, unchecked."""
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    det = a * d - b * c
+    det = _det2(m)
     out = np.empty_like(m)
-    out[..., 0, 0] = d / det
-    out[..., 0, 1] = -b / det
-    out[..., 1, 0] = -c / det
-    out[..., 1, 1] = a / det
+    out[..., 0, 0] = m[..., 1, 1] / det
+    out[..., 0, 1] = -m[..., 0, 1] / det
+    out[..., 1, 0] = -m[..., 1, 0] / det
+    out[..., 1, 1] = m[..., 0, 0] / det
     return out
 
 
 def _chol2(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L, m = L L', of each 2x2 of a (..., 2, 2) stack passing _all_pd."""
+    """Lower Cholesky factor L, m = L L', of each 2x2 of a (..., 2, 2) stack passing _all_pd.
+
+    l22 reads the rule's own model._det2, so every matrix the rule passes has a finite factor.
+    """
     l = np.zeros_like(m)
     l[..., :, 0] = m[..., :, 0] / np.sqrt(m[..., :1, 0])
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    l[..., 1, 1] = np.sqrt(det / m[..., 0, 0])
+    l[..., 1, 1] = np.sqrt(_det2(m) / m[..., 0, 0])
     return l
 
 
@@ -91,7 +93,7 @@ def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     The 2x2 solve is Cramer's rule, so no V = A^{-1} is formed.
     """
     b = np.einsum("...iab,...ib->...a", g, y)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    det = _det2(a)
     x0 = (a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1]) / det
     x1 = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / det
     return np.stack([x0, x1], axis=-1)
@@ -221,10 +223,10 @@ def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
     return Sym2.from_array(m)
 
 
-def _sigma_of(theta: np.ndarray) -> np.ndarray:
-    """Sigma = L L' from log-Cholesky coordinates theta = (log l11, l21, log l22)."""
+def _sigma_of(theta: Sequence[float]) -> tuple[float, float, float]:
+    """Entries (s11, s12, s22) of Sigma = L L' at log-Cholesky theta = (log l11, l21, log l22)."""
     l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
-    return np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
+    return l11 * l11, l11 * l21, l21 * l21 + l22 * l22
 
 
 def _restricted_nll(y: np.ndarray, s: np.ndarray):
@@ -241,9 +243,8 @@ def _restricted_nll(y: np.ndarray, s: np.ndarray):
 
     def nll(theta) -> float:
         try:
-            l11, l21, l22 = math.exp(theta[0]), theta[1], math.exp(theta[2])
-            s12 = l11 * l21
-            flat[:] = l11 * l11, s12, s12, l21 * l21 + l22 * l22
+            s11, s12, s22 = _sigma_of(theta)
+            flat[:] = s11, s12, s12, s22
             g = inv(np.add(template, sigma, out=d), signature="d->d")
             a = g.sum(axis=-3)
             det = d11 * d22 - s12 * s12
@@ -355,7 +356,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     if stopped:
         msg = f"REML simplex stopped before convergence: {stopped}"
         warnings.warn(msg, RemlConvergenceWarning, stacklevel=2)
-    return Sym2.from_array(_sigma_of(x))
+    return Sym2(*_sigma_of(x))
 
 
 def i_squared(within_vars: Sequence[float], tau2: float) -> float:

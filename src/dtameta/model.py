@@ -30,11 +30,19 @@ __all__ = [
 ]
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinant m11 m22 - m12 m21 of each 2x2 of a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def _all_pd(m: np.ndarray) -> bool:
-    """Whether every 2x2 of a (..., 2, 2) stack has m11 > 0 and det > 0; NaN fails."""
-    m11 = m[..., 0, 0]
-    det = m11 * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return bool(np.minimum(m11, det).min(initial=math.inf) > 0)
+    """Whether every 2x2 of a (..., 2, 2) stack has m11 > 0 and 0 < det < inf; NaN fails.
+
+    A matrix that passes has _chol2's closed-form factor, which reads this _det2.
+    """
+    det = _det2(m)
+    ok = np.minimum(m[..., 0, 0], det).min(initial=math.inf) > 0
+    return bool(ok and det.max(initial=0.0) < math.inf)
 
 
 class DataError(ValueError):

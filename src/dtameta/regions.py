@@ -10,9 +10,11 @@ identical studies the trio collapses to (4/n, 6/n, 0) and h to (1 + x/2)/n.
 One positive-definiteness rule (model._all_pd) checks each D_i where
 estimators builds it, A where the precision kernel sums it, and a region's
 shape: confidence_region inverts A into V, and ConfidenceRegion decides V
-before any trace term is computed. Every matrix the rule passes has the
-closed-form Cholesky factor estimators._chol2, which whitens A in the trace
-kernel (it reads only D and A) and draws the region boundary.
+before any trace term is computed. The rule asks a11 > 0 and 0 < det < inf
+of model._det2, the determinant the closed-form Cholesky factor
+estimators._chol2 reads too, so every matrix the rule passes has a finite
+factor, which whitens A in the trace kernel (it reads only D and A) and
+draws the region boundary.
 
 _rep_fit runs confidence_region's kernels (moment estimate, _psd_clamp,
 _precisions, GLS, trace kernel, h) on R stacked replications, so the Monte

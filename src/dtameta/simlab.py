@@ -7,14 +7,13 @@ Each scenario draws datasets from the exchangeable truth
 with within-study variances resampled per replication from a truncated
 scaled chi-square. The grid reports naive and corrected region coverage,
 the median threshold adjustment, and the mean heterogeneity fraction.
+The module does no I/O: grid_to_csv renders the CSV text, and the command
+line (cli._emit) writes it.
 """
 
 from __future__ import annotations
 
-import errno
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "gen_dataset",
     "run_grid",
     "grid_to_csv",
-    "write_grid_csv",
 ]
 
 # CSV columns in order: Scenario fields, then GridResult fields of the same name
@@ -251,38 +249,3 @@ def grid_to_csv(results: Sequence[GridResult]) -> str:
             ",".join(str(row[c]) if c in ("n", "reps") else f"{row[c]:.6g}" for c in _GRID_COLUMNS)
         )
     return "\n".join(lines) + "\n"
-
-
-def _write_atomic(files: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) pair via a temp file in the target's directory and a rename.
-
-    Every temp file is written before the first rename, and a target that is
-    an existing directory (onto which a rename would fail) is rejected while
-    staging, so a failed call leaves no target touched. On failure every temp
-    file is removed and the OSError is raised again with the target path as
-    its filename.
-    """
-    staged: list[str] = []
-    target = None
-    try:
-        for target, text in files:
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), suffix=".tmp")
-            staged.append(tmp)
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-        for tmp, (target, _) in zip(staged, files):
-            os.replace(tmp, target)
-    except BaseException as exc:
-        for tmp in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, target) from exc
-        raise
-
-
-def write_grid_csv(results: Sequence[GridResult], path: str) -> None:
-    """Write the grid CSV atomically (temp file in the target directory, then rename)."""
-    _write_atomic([(path, grid_to_csv(results))])

@@ -590,10 +590,15 @@ class TestSimulateCommand:
         assert err == "error: singular or indefinite marginal covariance D_i\n"
 
     def test_out_file(self, capsys, tmp_path):
+        assert main(SIM_ARGS) == 0
+        stdout = capsys.readouterr().out
         out = tmp_path / "grid.csv"
+        out.write_text("stale")
         assert main(SIM_ARGS + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
-        assert out.read_text().startswith("tau2,rho,n,reps,alpha,")
+        assert out.read_text() == stdout
+        assert stdout.startswith("tau2,rho,n,reps,alpha,")
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_malformed_list_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -519,6 +519,22 @@ class TestDrawFactor:
         except ValueError as exc:
             assert type(exc) is ValueError, repr(exc)
 
+    @pytest.mark.parametrize("estimate", [mc_coverage, mc_b_moments])
+    def test_truth_whose_determinant_overflows_gets_the_rules_error(self, monkeypatch, estimate):
+        # det D_i = 1e600 rounds to inf: the rule refuses D_i before any draw,
+        # which an infinite factor would color
+        def fail(*args):
+            raise AssertionError("a refused truth was drawn")
+
+        monkeypatch.setattr(oracle, "_draw_stack", fail)
+        cfg = OracleConfig(
+            n=3, sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
+            reps=1000, seed=0,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="singular or indefinite marginal covariance D_i"):
+                estimate(cfg)
+
     def test_estimates_need_no_lapack_cholesky(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("LAPACK's Cholesky called")

@@ -559,6 +559,13 @@ class TestConfidenceRegion:
             with pytest.raises(ValueError, match="region shape matrix must be positive definite"):
                 confidence_region(d, "ccr")
 
+    def test_shape_whose_determinant_overflows_is_refused(self):
+        # det = 1e400 rounds to inf, so the closed-form factor would read
+        # inf / 1e200 and draw a NaN boundary
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="region shape matrix must be positive definite"):
+                ConfidenceRegion((0.0, 0.0), Sym2(1e200, 0.0, 1e200), 5.99, 0.0, 0.05, "ncr")
+
     def test_model_level_region_validation(self):
         with pytest.raises(RegionUndefinedError):
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), 0.0, 0.0, 0.05, "ccr")

@@ -24,7 +24,6 @@ from dtameta import (
     region_contains,
     rep_stream,
     run_grid,
-    write_grid_csv,
 )
 from dtameta import oracle, simlab
 from dtameta.simlab import GRID_CSV_HEADER
@@ -381,15 +380,3 @@ class TestGridCsv:
         assert float(rows[0]["coverage_ccr"]) == pytest.approx(0.9512345678, rel=1e-5)
         assert int(rows[0]["n"]) == 8
 
-    def test_write_is_atomic_and_clean(self, results, tmp_path):
-        target = tmp_path / "grid.csv"
-        write_grid_csv(results, str(target))
-        assert target.read_text() == grid_to_csv(results)
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-
-    def test_write_overwrites_existing(self, results, tmp_path):
-        target = tmp_path / "grid.csv"
-        target.write_text("stale")
-        write_grid_csv(results, str(target))
-        assert target.read_text().startswith(GRID_CSV_HEADER)

@@ -37,7 +37,10 @@ in the code they load. The commands:
   and the summed precision A of replication 46 round to singular (each
   prints the first error met), and gls_beta, b_star and v_matrix on a
   one-study table whose A passes the rule but whose V = A^{-1} rounds to
-  singular (each prints its result or its error); lab_vs_fit, the repr of
+  singular (each prints its result or its error); pd_overflow, the
+  region boundary of a shape Sym2(1e200, 0, 1e200) and mc_coverage and
+  mc_b_moments on the truth Sym2(1e300, 0, 1e300), whose determinants
+  overflow to inf (each prints its result or its error); lab_vs_fit, the repr of
   the clamped covariance and of h from the Monte Carlo replication fit
   (regions._rep_fit) and from confidence_region on the first table of the
   default_rng(7) recipe of tests/test_regions.py whose clamp rebuilds the
@@ -153,6 +156,24 @@ d = Dataset([Study(0.0, 0.0, 0.026525941113256582, 0.43226149285673376)])
 for name, entry in [("gls_beta", gls_beta), ("b_star", b_star), ("v_matrix", v_matrix)]:
     try:
         print(name, repr(entry(d, sigma)))
+    except ValueError as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+# determinants that overflow to inf: 1e400 for the shape, 1e600 for each D_i
+_PD_OVERFLOW = """
+from dtameta import ConfidenceRegion, OracleConfig, Sym2, mc_b_moments, mc_coverage, region_boundary
+cfg = OracleConfig(n=3, sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
+                   reps=1000, seed=0)
+shape = Sym2(1e200, 0.0, 1e200)
+for name, run in [
+    ("region_boundary", lambda: region_boundary(
+        ConfidenceRegion((0.0, 0.0), shape, 5.99, 0.0, 0.05, "ncr"), 4).tolist()),
+    ("mc_coverage", lambda: mc_coverage(cfg, "ncr")),
+    ("mc_b_moments", lambda: mc_b_moments(cfg)),
+]:
+    try:
+        print(name, repr(run()))
     except ValueError as exc:
         print(name, type(exc).__name__, exc)
 """
@@ -296,6 +317,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     cmds.append(("mc_rank_one_truth", ["-c", _RANK_ONE_TRUTH]))
     cmds.append(("mc_singular_a_truth", ["-c", _SINGULAR_A_TRUTH]))
     cmds.append(("singular_v_table", ["-c", _SINGULAR_V_TABLE]))
+    cmds.append(("pd_overflow", ["-c", _PD_OVERFLOW]))
     cmds.append(("lab_vs_fit", ["-c", _LAB_VS_FIT]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
