@@ -170,19 +170,17 @@ def _normal_blocks(seed: int, reps: range, width: int) -> np.ndarray:
     """(R, width) stack whose row j is the first width normals of rep_stream(seed, reps[j]).
 
     One PCG64 and Generator pair, this call's own, is set to each
-    replication's stream state in turn, so a row costs one draw call.
+    replication's stream state in turn from one state dict whose (state, inc)
+    is rewritten per row, so a row costs one state set and one draw call.
     """
     bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    draw = np.random.Generator(bits).standard_normal
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    lcg = state["state"]
     z = np.empty((len(reps), width))
-    for row, (state, inc) in zip(z, _stream_states(seed, reps)):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=row)
+    for row, (lcg["state"], lcg["inc"]) in zip(z, _stream_states(seed, reps)):
+        bits.state = state
+        draw(out=row)
     return z
 
 
@@ -209,7 +207,7 @@ def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Bound on the replication x study rows one stacked fit holds, so Monte Carlo
 # memory stays flat in the replication count.
-_CHUNK_ROWS = 2048
+_CHUNK_ROWS = 16384
 
 
 def _by_chunk(reps: int, n: int, width: int, step) -> np.ndarray:

@@ -166,9 +166,16 @@ class TestBulkStreams:
         assert str(got.value) == str(expected.value)
 
     def test_normal_blocks_are_rep_stream_draws(self):
-        z = oracle._normal_blocks(11, range(5, 9), 7)
-        for row, r in zip(z, range(5, 9)):
-            assert row.tobytes() == rep_stream(11, r).standard_normal(7).tobytes()
+        # a call rewrites its one state dict per row, so calls alternating seeds and
+        # widths, an empty range among them, must each give exactly their own streams
+        calls = [
+            (11, range(5, 9), 7), (2**64 + 3, range(2**32 - 2, 2**32 + 1), 32), (11, range(4, 4), 9)
+        ]
+        for seed, reps, width in calls * 2:
+            z = oracle._normal_blocks(seed, reps, width)
+            assert z.shape == (len(reps), width)
+            for row, r in zip(z, reps):
+                assert row.tobytes() == rep_stream(seed, r).standard_normal(width).tobytes()
 
 
 class TestMcBMoments:
@@ -568,6 +575,20 @@ class TestChunking:
         if rows is not None:
             monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
         assert run() == default
+
+    def test_default_cap_spans_chunks_bit_for_bit(self, monkeypatch):
+        cfg = homogeneous_config(32, 1000, 24, sigma=Sym2(0.3, 0.1, 0.2))
+        steps = []
+
+        def recording_draw(cfg, reps, chol):
+            steps.append(len(reps) * cfg.n)
+            return _draw_stack(cfg, reps, chol)
+
+        monkeypatch.setattr(oracle, "_draw_stack", recording_draw)
+        default = mc_b_moments(cfg)
+        assert len(steps) >= 2 and max(steps) <= oracle._CHUNK_ROWS
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", cfg.n - 1)
+        assert mc_b_moments(cfg) == default
 
 
 def draw_stack_per_rep(cfg, reps, chol):
