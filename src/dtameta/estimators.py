@@ -376,8 +376,8 @@ def i_squared(within_vars: Sequence[float], tau2: float) -> float:
     return float(_i2_array(v, tau2))
 
 
-def _i2_array(v: np.ndarray, tau2: float) -> np.ndarray:
-    """i_squared of every row of a (..., n) stack of within-study variances, unvalidated."""
+def _i2_array(v: np.ndarray, tau2: float | np.ndarray) -> np.ndarray:
+    """i_squared of each row of a (..., n) stack of within-study variances; tau2 may vary by row."""
     w = 1.0 / v
     sw = w.sum(axis=-1)
     q = (v.shape[-1] - 1) * sw / (sw * sw - (w * w).sum(axis=-1))

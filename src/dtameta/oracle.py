@@ -16,17 +16,18 @@ attains with the public fit run on the stack (regions._rep_fit, which
 simlab runs too and which skips the trace terms for the naive region), and
 reads only the truth's D_i (_d_stack).
 
-Every Monte Carlo loop, here and in simlab, is one _by_chunk call: chunks
-of at most _CHUNK_ROWS replication x study rows, each run by a step whose
-per-replication columns fill one preallocated array, so memory stays flat
-in reps and chunking never changes a result. A step draws, then fits. The
-draw reads replication r's rep_stream(seed, r) as one block of 2n standard
-normals; the stream states of the whole chunk are derived at once and set
-on one generator in turn (_stream_states, _normal_blocks, which simlab
-shares), and the block is colored on the whole stack by each D_i's lower
-Cholesky factor L from the closed form the fit uses (estimators._chol2), so
-every truth whose D_i pass model._all_pd draws; it is written out as
-y1 = l11 z1 and y2 = l21 z1 + l22 z2. The fit then runs once on the stack.
+Every Monte Carlo loop is one _by_chunk call (simlab makes one per group of
+scenarios with equal n, whose chunks may span scenarios): chunks of at most
+_CHUNK_ROWS replication x study rows, each run by a step whose columns fill
+one preallocated array, so memory stays flat in reps and chunking never
+changes a result. A step draws, then fits. The draw reads replication r's
+rep_stream(seed, r) as one block of 2n standard normals; the stream states
+of a chunk are derived at once and set on one generator in turn
+(_stream_states, _normal_blocks, which simlab shares per scenario), and the
+block is colored on the whole stack by each D_i's lower Cholesky factor L
+from the closed form the fit uses (estimators._chol2), so every truth whose
+D_i pass model._all_pd draws; it is written out as y1 = l11 z1 and
+y2 = l21 z1 + l22 z2. The fit then runs once on the stack.
 """
 
 from __future__ import annotations

@@ -49,6 +49,9 @@ _MAX_REJECTION_BATCHES = 10_000
 # mostly fills in two rounds, and a block of 10 batches covers all but a few
 # replications in ten thousand; those are drawn again by _draw.
 _BLOCK_BATCHES = 10
+# Largest tau2 a scenario takes: the fit squares estimates that can exceed tau2
+# several times over, and squares near sqrt(DBL_MAX) = 1.3e154 overflow.
+_TAU2_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.tau2 < math.inf:
-            raise ValueError("tau2 must be finite and nonnegative")
+        if not 0 <= self.tau2 <= _TAU2_MAX:
+            raise ValueError(f"tau2 must lie in [0, {_TAU2_MAX:g}], got {self.tau2!r}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if self.n < 2:
@@ -154,18 +157,22 @@ def gen_dataset(s: Scenario, rep: int) -> Dataset:
     return Dataset(studies)
 
 
-def _draw_block(sc: Scenario, reps: range, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y, s) stacks, each (R, n, 2), of replications reps: row j is _draw(sc, reps[j], chol).
+def _draw_block(parts: Sequence[tuple[Scenario, range]]) -> tuple[np.ndarray, np.ndarray]:
+    """(y, s) stacks, each (R, n, 2), of the replications of parts, scenarios of one n, in order.
 
-    numpy draws normals sequentially, so one call for _BLOCK_BATCHES * n of
-    them holds every value _draw reads, in the same order. The rejection
-    bookkeeping then runs on the whole stack: cumulative accepted counts at
-    each batch end give the batch that fills each variance column, masks
-    gather the accepted variances, and mu and the noise are the 4n normals
-    that follow. Rows whose block runs short are drawn by _draw.
+    The rows of part (sc, reps) are _draw(sc, r, _sigma_chol(sc.tau2, sc.rho))
+    for r in reps. numpy draws normals sequentially, so one call per part for
+    _BLOCK_BATCHES * n of them holds every value _draw reads, in the same
+    order. The rejection bookkeeping then runs once on the whole stack:
+    cumulative accepted counts at each batch end give the batch that fills
+    each variance column, masks gather the accepted variances, and mu and the
+    noise are the 4n normals that follow, mu colored by its row's own factor.
+    Rows whose block runs short are drawn by _draw.
     """
-    n, width = sc.n, _BLOCK_BATCHES * sc.n
-    z = _normal_blocks(sc.seed, reps, width)
+    n, width = parts[0][0].n, _BLOCK_BATCHES * parts[0][0].n
+    sizes = [len(reps) for _, reps in parts]
+    z = np.concatenate([_normal_blocks(sc.seed, reps, width) for sc, reps in parts])
+    chol = np.repeat([_sigma_chol(sc.tau2, sc.rho) for sc, _ in parts], sizes, axis=0)
     cand = 0.25 * z**2
     ok = (cand >= _VAR_LO) & (cand <= _VAR_HI)
     seen = np.cumsum(ok, axis=1)
@@ -181,63 +188,78 @@ def _draw_block(sc: Scenario, reps: range, chol: np.ndarray) -> tuple[np.ndarray
     good = np.flatnonzero(~short) if short.any() else slice(None)
     cand, ok, seen, seen0 = cand[good], ok[good], seen[good], seen0[good]
     col1 = np.arange(width) >= n * (last0[good] + 1)
-    s = np.empty((len(reps), n, 2))
+    s = np.empty((len(z), n, 2))
     s[good, :, 0] = cand[ok & (seen <= n)].reshape(-1, n)
     s[good, :, 1] = cand[ok & col1 & (seen - seen0 <= n)].reshape(-1, n)
-    first = n * (last1 + 1) + width * np.arange(len(reps))[:, None]
+    first = n * (last1 + 1) + width * np.arange(len(z))[:, None]
     tail = z.ravel()[first[good] + np.arange(4 * n)]
     y = np.empty_like(s)
-    y[good] = tail[:, : 2 * n].reshape(-1, n, 2) @ chol.T
+    y[good] = tail[:, : 2 * n].reshape(-1, n, 2) @ np.swapaxes(chol[good], 1, 2)
     y[good] += np.sqrt(s[good]) * tail[:, 2 * n :].reshape(-1, n, 2)
+    rows = [(sc, r) for sc, reps in parts for r in reps]
     for j in np.flatnonzero(short):
-        y[j], s[j] = _draw(sc, reps[j], chol)
+        y[j], s[j] = _draw(*rows[j], chol[j])
     return y, s
 
 
-def _run_scenario(sc: Scenario) -> GridResult:
-    x = chi2_quantile(sc.alpha)
-    chol = _sigma_chol(sc.tau2, sc.rho)
+def _run_group(group: Sequence[Scenario], alpha: float) -> list[GridResult]:
+    """Results of scenarios of one n and alpha, their replications laid end to end."""
+    x = chi2_quantile(alpha)
+    starts = np.cumsum([0] + [sc.reps for sc in group]).tolist()
 
-    def step(reps: range):
-        y, s = _draw_block(sc, reps, chol)
-        return (*_rep_fit(y, s, x), _i2_array(s[..., 0], sc.tau2))
+    def step(chunk: range):  # a chunk may span scenarios: it draws and fits its part of each
+        parts = [
+            (sc, part)
+            for sc, lo in zip(group, starts)
+            if (part := range(max(chunk.start - lo, 0), min(chunk.stop - lo, sc.reps)))
+        ]
+        y, s = _draw_block(parts)
+        tau2 = np.repeat([sc.tau2 for sc, _ in parts], [len(part) for _, part in parts])
+        return (*_rep_fit(y, s, x), _i2_array(s[..., 0], tau2))
 
-    q, h, i2 = _by_chunk(sc.reps, sc.n, 3, step).T
-    coverage_ncr, _ = _coverage(q, 0.0, x)
-    coverage_ccr, mc_se = _coverage(q, h, x)
-    return GridResult(
-        scenario=sc,
-        coverage_ncr=coverage_ncr,
-        coverage_ccr=coverage_ccr,
-        median_h=float(np.median(h)),
-        mean_i2=float(i2.mean()),
-        mc_se=mc_se,
-    )
+    stats = _by_chunk(starts[-1], group[0].n, 3, step)
+    results = []
+    for sc, lo in zip(group, starts):
+        q, h, i2 = stats[lo : lo + sc.reps].T
+        coverage_ncr, _ = _coverage(q, 0.0, x)
+        coverage_ccr, mc_se = _coverage(q, h, x)
+        median_h, mean_i2 = float(np.median(h)), float(i2.mean())
+        results.append(GridResult(sc, coverage_ncr, coverage_ccr, median_h, mean_i2, mc_se))
+    return results
 
 
 def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     """Run every scenario and return results in input order.
 
-    Each scenario is one oracle._by_chunk loop, which bounds the replication
-    x study rows of a chunk, so memory does not grow with reps. Each chunk
-    runs in two phases. The draw reads replication r's own (seed, r) stream
-    as one block of standard normals; the streams of a chunk are derived
-    together and set in turn on one generator. The rejection-sampled
-    variances, mu and the noise are read off the stacked blocks in stream
-    order, and the moment fit, GLS, trace terms and h (regions._rep_fit, the
-    public fit on a stack, which mc_coverage runs too) then run once on the
-    (R, n, 2) stacks of y and s.
+    Scenarios of equal n and alpha form a group, and each group is one
+    oracle._by_chunk loop over its scenarios' replications laid end to end,
+    so a chunk may hold the last replications of one scenario and the first
+    of the next. _by_chunk bounds the replication x study rows of a chunk,
+    so memory does not grow with reps. Each chunk runs in two phases. The
+    draw reads replication r of a scenario from its own (seed, r) stream as
+    one block of standard normals; the streams of the chunk's part of a
+    scenario are derived together and set in turn on one generator. The
+    rejection-sampled variances, mu (colored by its own scenario's Sigma)
+    and the noise are read off the stacked blocks in stream order, and the
+    moment fit, GLS, trace terms and h (regions._rep_fit, the public fit on
+    a stack, which mc_coverage runs too) then run once on the (R, n, 2)
+    stacks of y and s.
     No replication's numbers depend on the chunk it lands in: results are
-    independent of chunking and of scenario order, and reproduce exactly
-    for a fixed grid. The heterogeneity fraction is computed for each
-    replication from its drawn sensitivity-arm variances and the scenario's
-    true tau2, then averaged.
+    independent of chunking and of the grid's composition and order, and
+    reproduce exactly for a fixed grid. The heterogeneity fraction is
+    computed for each replication from its drawn sensitivity-arm variances
+    and the scenario's true tau2, then averaged.
     The reported Monte Carlo standard error is the binomial SE of the
     corrected-region coverage.
     """
     if len(scenarios) == 0:
         raise ValueError("empty scenario grid")
-    return [_run_scenario(sc) for sc in scenarios]
+    groups: dict[tuple[int, float], list[Scenario]] = {}
+    for sc in scenarios:
+        groups.setdefault((sc.n, sc.alpha), []).append(sc)
+    # each group's results are in its scenarios' input order
+    results = {key: iter(_run_group(group, key[1])) for key, group in groups.items()}
+    return [next(results[sc.n, sc.alpha]) for sc in scenarios]
 
 
 def grid_to_csv(results: Sequence[GridResult]) -> str:

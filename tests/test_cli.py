@@ -578,6 +578,26 @@ class TestSimulateCommand:
         assert "tau2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tau2_above_bound_exits_2_without_warnings(self, capsys):
+        # the fit's 2x2 products of a 1e160 estimate overflow; Scenario refuses it first
+        argv = ["simulate", "--tau2", "1e160", "--rho", "0", "--n", "4", "--reps", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tau2 must lie in [0, 1e+150], got 1e+160\n"
+
+    def test_tau2_at_bound_runs_clean(self, capsys):
+        argv = ["simulate", "--tau2", "1e150", "--rho", "0,0.9", "--n", "4,16", "--reps", "50",
+                "--seed", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["1e+150"] * 4
+
     def test_singular_d_exits_2(self, capsys):
         # the clamped rank-one estimate swamps s_i, so some D_i rounds to singular
         argv = ["simulate", "--tau2", "1e16", "--rho", "0.5", "--n", "2", "--reps", "200",

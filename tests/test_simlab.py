@@ -69,6 +69,7 @@ class TestScenarioValidation:
             dict(tau2=0.1, rho=0.0, n=8, reps=10, alpha=0.0),
             dict(tau2=math.nan, rho=0.0, n=8, reps=10),
             dict(tau2=math.inf, rho=0.0, n=8, reps=10),
+            dict(tau2=math.nextafter(1e150, math.inf), rho=0.0, n=8, reps=10),
         ],
     )
     def test_rejects_bad_cells(self, kwargs):
@@ -187,6 +188,12 @@ def draw_per_rep(sc, reps, chol):
     return np.stack([y for y, _ in pairs]), np.stack([s for _, s in pairs])
 
 
+def draw_parts_per_rep(parts):
+    """_draw_block's stacks of (scenario, reps) parts, drawn one rep_stream at a time."""
+    stacks = [draw_per_rep(sc, reps, simlab._sigma_chol(sc.tau2, sc.rho)) for sc, reps in parts]
+    return np.concatenate([y for y, _ in stacks]), np.concatenate([s for _, s in stacks])
+
+
 # the fewest batches a block can hold: one per variance column, then 2n for
 # mu and 2n for the noise; at this size almost every row takes the _draw path
 MIN_BLOCK_BATCHES = 6
@@ -205,7 +212,7 @@ class TestBlockDraw:
         sc = Scenario(tau2=tau2, rho=rho, n=n, reps=1, seed=seed)
         chol = simlab._sigma_chol(tau2, rho)
         reps = range(start, start + 9)
-        y, s = simlab._draw_block(sc, reps, chol)
+        y, s = simlab._draw_block([(sc, reps)])
         y_ref, s_ref = draw_per_rep(sc, reps, chol)
         assert y.tobytes() == y_ref.tobytes()
         assert s.tobytes() == s_ref.tobytes()
@@ -215,7 +222,7 @@ class TestBlockDraw:
         monkeypatch.setattr(simlab, "_BLOCK_BATCHES", MIN_BLOCK_BATCHES)
         sc = Scenario(tau2=0.4, rho=0.4, n=n, reps=1, seed=3)
         chol = simlab._sigma_chol(0.4, 0.4)
-        y, s = simlab._draw_block(sc, range(200), chol)
+        y, s = simlab._draw_block([(sc, range(200))])
         y_ref, s_ref = draw_per_rep(sc, range(200), chol)
         assert y.tobytes() == y_ref.tobytes()
         assert s.tobytes() == s_ref.tobytes()
@@ -229,18 +236,37 @@ class TestBlockDraw:
         default = run_grid(scenarios)
         monkeypatch.setattr(simlab, "_BLOCK_BATCHES", MIN_BLOCK_BATCHES)
         assert run_grid(scenarios) == default
-        monkeypatch.setattr(simlab, "_draw_block", draw_per_rep)
+        monkeypatch.setattr(simlab, "_draw_block", draw_parts_per_rep)
         assert run_grid(scenarios) == default
+
+    @pytest.mark.parametrize("batches", [MIN_BLOCK_BATCHES, 10])
+    def test_parts_match_draw_bit_for_bit(self, monkeypatch, batches):
+        # parts of one n with their own Sigma, seed and replications, some adjacent in one scenario
+        monkeypatch.setattr(simlab, "_BLOCK_BATCHES", batches)
+        parts = [
+            (Scenario(tau2=0.4, rho=0.4, n=3, reps=1, seed=3), range(0, 70)),
+            (Scenario(tau2=0.0, rho=0.5, n=3, reps=1, seed=4), range(5, 6)),
+            (Scenario(tau2=1.3, rho=-0.8, n=3, reps=1, seed=5), range(40, 110)),
+            (Scenario(tau2=1.3, rho=-0.8, n=3, reps=1, seed=5), range(0, 40)),
+        ]
+        y, s = simlab._draw_block(parts)
+        y_ref, s_ref = draw_parts_per_rep(parts)
+        assert y.tobytes() == y_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
 
 
 def test_run_grid_builds_no_stream_per_replication(stream_builds):
-    sc = Scenario(tau2=0.4, rho=0.4, n=8, reps=600, seed=9)
-    run_grid([sc])
-    # one SeedSequence and one PCG64 per chunk, plus rep_stream for the rare short row
-    chunks = math.ceil(sc.reps / (oracle._CHUNK_ROWS // sc.n))
-    assert stream_builds["SeedSequence"] <= chunks + 2
-    assert stream_builds["PCG64"] <= chunks
+    # three scenarios of one n run as one group; at the default cap it has 3 chunks, and
+    # the first two each span two scenarios
+    grid = [Scenario(tau2=0.4, rho=0.4, n=8, reps=1500, seed=seed) for seed in (9, 10, 11)]
+    run_grid(grid)
+    # one SeedSequence and one PCG64 per scenario part of a chunk, plus rep_stream for the
+    # rare short row
+    chunks = math.ceil(sum(sc.reps for sc in grid) / (oracle._CHUNK_ROWS // 8))
+    parts = chunks + len(grid) - 1
+    assert stream_builds["PCG64"] <= parts
     assert stream_builds["default_rng"] <= 2
+    assert stream_builds["SeedSequence"] <= parts + stream_builds["default_rng"]
 
 
 class TestRunGrid:
@@ -304,6 +330,27 @@ class TestRunGrid:
         if rows is not None:
             monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
         assert run_grid(scenarios) == default
+
+    @pytest.mark.parametrize("batches", [MIN_BLOCK_BATCHES, 10])
+    def test_groups_across_chunk_boundaries_match_scenarios_alone(self, monkeypatch, batches):
+        # groups (n, alpha) = (3, 0.05), (5, 0.05) and (3, 0.1), interleaved; neighbours in a
+        # group differ in Sigma, tau2 and seed
+        grid = [
+            Scenario(tau2=0.4, rho=0.4, n=3, reps=7, seed=1),
+            Scenario(tau2=0.2, rho=-0.5, n=5, reps=5, seed=2),
+            Scenario(tau2=0.6, rho=0.0, n=3, reps=6, alpha=0.1, seed=3),
+            Scenario(tau2=0.0, rho=-0.6, n=3, reps=6, seed=4),
+            Scenario(tau2=1.0, rho=0.7, n=5, reps=4, seed=5),
+            Scenario(tau2=1.5, rho=0.8, n=3, reps=5, seed=6),
+        ]
+        alone = [run_grid([sc])[0] for sc in grid]
+        # chunks of 4 replications at n = 3 and 2 at n = 5: some split a scenario, and the
+        # chunks 4-7 and 12-15 of the first group and 4-5 of the second span two
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", 12)
+        # at the fewest batches most rows are short, so they fall on both sides of a boundary
+        monkeypatch.setattr(simlab, "_BLOCK_BATCHES", batches)
+        assert run_grid(grid) == alone
+        assert run_grid(grid[::-1]) == alone[::-1]
 
     def test_runs_clean_under_warnings_as_errors(self):
         # on these draws the public path warns: the clamp fires and |h| > 1
