@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 validation tolerance failure; 2 malformed input,
 invalid flags, a negative seed, an unwritable output path or two outputs
 naming one file; 3 too few studies to fit (n < 3); 4 corrected region
-undefined (threshold factor 1 + h not positive).
+undefined (threshold factor 1 + h not a positive finite number).
 """
 
 from __future__ import annotations
@@ -425,9 +425,7 @@ def validation_preset(
         override, expected = sigma, (0.0, 0.0, 0.0)
     else:
         raise ValueError(f"unknown preset {name!r}")
-    cfg = OracleConfig(
-        n=len(sv), sigma_true=sigma, within_vars=tuple(map(tuple, sv)), reps=reps, seed=seed
-    )
+    cfg = OracleConfig(sigma_true=sigma, within_vars=tuple(map(tuple, sv)), reps=reps, seed=seed)
     return cfg, override, expected
 
 

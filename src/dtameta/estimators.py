@@ -136,13 +136,13 @@ def moment_sigma0(d: Dataset) -> Sym2:
     subtracts the within-study contribution. The result may be indefinite;
     callers that need a PSD matrix should use bias_corrected_sigma.
     """
-    if d.n < 2:
-        raise DataError("moment estimator needs at least 2 studies")
     return Sym2.from_array(_moment_raw(*d.arrays()))
 
 
 def _moment_raw(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Residual second moment about the mean minus the mean within-study variance, (..., 2, 2)."""
+    if y.shape[-2] < 2:
+        raise DataError("moment estimator needs at least 2 studies")
     r = y - y.mean(axis=-2, keepdims=True)
     m = np.einsum("...ia,...ib->...ab", r, r) / y.shape[-2]
     m[..., 0, 0] -= s[..., 0].mean(axis=-1)
@@ -210,8 +210,6 @@ def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
     project=False skips the clamp; it exists so the pre-projection estimator
     (the quantity that is actually unbiased) can be examined directly.
     """
-    if d.n < 2:
-        raise DataError("bias-corrected estimator needs at least 2 studies")
     m = _moment_bc_array(*d.arrays())
     m, changed = _psd_clamp(m) if project else (m, False)
     if changed:

@@ -50,7 +50,7 @@ class DataError(ValueError):
 
 
 class RegionUndefinedError(ValueError):
-    """Raised when a corrected region has a non-positive threshold (1 + h <= 0)."""
+    """Raised when a region's threshold x (1 + h) is not a positive finite number."""
 
 
 class PsdProjectionWarning(UserWarning):
@@ -201,9 +201,9 @@ class ConfidenceRegion:
     method: str  # "ncr" or "ccr"
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
+        if not 0 < self.threshold < math.inf:
             raise RegionUndefinedError(
-                f"region threshold {self.threshold:.4g} is not positive "
+                f"region threshold {self.threshold:.4g} is not a positive finite number "
                 f"(threshold factor 1 + h = {1.0 + self.h:.4g})"
             )
         if not _all_pd(self.shape.as_array()):

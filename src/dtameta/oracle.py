@@ -9,12 +9,13 @@ This module estimates those moments by brute force: simulate datasets from a
 fully specified truth, re-estimate the between-study covariance each time,
 and average. It exists to validate the analytic formulas, so mc_b_moments
 shares only the moment estimator (_moment_bc_array, _psd_clamp) and the
-precision kernel (_precisions, which refuses a singular summed precision A
-in every replication, as the fit does) with them, and inverts A into V
-itself (_inv2). mc_coverage measures the coverage the corrected region
-attains with the public fit run on the stack (regions._rep_fit, which
-simlab runs too and which skips the trace terms for the naive region), and
-reads only the truth's D_i (_d_stack).
+precision kernel (_precisions) with them, and inverts A into V itself
+(_inv2). mc_coverage measures the coverage the corrected region attains
+with the public fit run on the stack (regions._rep_fit, which simlab runs
+too and which skips the trace terms for the naive region), and reads only
+the truth's D_i (_d_stack). So a replication is refused, with the fit's
+message, where the fit refuses its D_i, its summed precision A or fewer than
+2 studies, but not where V alone fails the rule: the lab checks no V.
 
 Every Monte Carlo loop is one _by_chunk call (simlab makes one per group of
 scenarios with equal n, whose chunks may span scenarios): chunks of at most
@@ -56,10 +57,9 @@ class OracleConfig:
 
     The within_vars design is deliberately frozen across replications: the
     expectations being estimated are over y given the study designs, so only
-    the study summaries are redrawn.
+    the study summaries are redrawn. n is the number of design rows.
     """
 
-    n: int
     sigma_true: Sym2
     within_vars: tuple[tuple[float, float], ...]
     reps: int
@@ -73,8 +73,6 @@ class OracleConfig:
         )
         if self.n < 1:
             raise DataError("need at least one study")
-        if len(self.within_vars) != self.n:
-            raise DataError(f"within_vars has {len(self.within_vars)} entries, expected n={self.n}")
         if not all(0 < a < math.inf and 0 < b < math.inf for a, b in self.within_vars):
             raise DataError("within-study variances must be finite and positive")
         if not self.sigma_true.is_psd():
@@ -83,6 +81,10 @@ class OracleConfig:
             raise ValueError("reps must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    @property
+    def n(self) -> int:
+        return len(self.within_vars)
 
     def s_array(self) -> np.ndarray:
         return np.asarray(self.within_vars, dtype=float)

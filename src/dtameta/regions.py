@@ -169,7 +169,7 @@ def confidence_region(
 
     ConfidenceRegion refuses a shape V failing the positive-definiteness
     rule before any trace term is computed, and raises RegionUndefinedError
-    when 1 + h <= 0 (no ellipse exists).
+    when x (1 + h) is not a positive finite number (at 1 + h <= 0 no ellipse exists).
     """
     if method not in ("ncr", "ccr"):
         raise ValueError(f"unknown method {method!r}")

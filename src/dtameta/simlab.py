@@ -202,9 +202,9 @@ def _draw_block(parts: Sequence[tuple[Scenario, range]]) -> tuple[np.ndarray, np
     return y, s
 
 
-def _run_group(group: Sequence[Scenario], alpha: float) -> list[GridResult]:
+def _run_group(group: Sequence[Scenario]) -> list[GridResult]:
     """Results of scenarios of one n and alpha, their replications laid end to end."""
-    x = chi2_quantile(alpha)
+    x = chi2_quantile(group[0].alpha)
     starts = np.cumsum([0] + [sc.reps for sc in group]).tolist()
 
     def step(chunk: range):  # a chunk may span scenarios: it draws and fits its part of each
@@ -258,7 +258,7 @@ def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     for sc in scenarios:
         groups.setdefault((sc.n, sc.alpha), []).append(sc)
     # each group's results are in its scenarios' input order
-    results = {key: iter(_run_group(group, key[1])) for key, group in groups.items()}
+    results = {key: iter(_run_group(group)) for key, group in groups.items()}
     return [next(results[sc.n, sc.alpha]) for sc in scenarios]
 
 

@@ -185,7 +185,7 @@ def test_acceptance_5_oracle_equivalence():
     for k, seed in SWEEP:
         design = base.within_vars * k
         cfg = OracleConfig(
-            n=base.n * k, sigma_true=base.sigma_true, within_vars=design,
+            sigma_true=base.sigma_true, within_vars=design,
             reps=base.reps, seed=seed,
         )
         est, ses = mc_b_moments(cfg)

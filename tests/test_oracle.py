@@ -37,7 +37,7 @@ X05 = 5.991464547107982
 
 # a rank-one truth on which some replications' D_i or summed precision A round to singular
 SINGULAR_A_TRUTH = OracleConfig(
-    n=2, sigma_true=Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56),
+    sigma_true=Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56),
     within_vars=((0.07250840085041983, 0.2604907992106054),
                  (0.027343258573638195, 0.03825679791142379)),
     reps=100, seed=0,
@@ -47,7 +47,7 @@ SINGULAR_A_TRUTH = OracleConfig(
 def homogeneous_config(n, reps, seed, s_val=0.2, sigma=None):
     sigma = sigma if sigma is not None else Sym2(0.4, 0.0, 0.4)
     return OracleConfig(
-        n=n, sigma_true=sigma, within_vars=tuple((s_val, s_val) for _ in range(n)),
+        sigma_true=sigma, within_vars=tuple((s_val, s_val) for _ in range(n)),
         reps=reps, seed=seed,
     )
 
@@ -63,21 +63,17 @@ class TestOracleConfig:
         cfg = homogeneous_config(3, 1000, 0, s_val=1)
         assert cfg.within_vars == ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
         assert cfg.s_array().dtype == float
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            OracleConfig(n=3, sigma_true=Sym2(0.1, 0.0, 0.1),
-                         within_vars=((0.1, 0.1),), reps=1000, seed=0)
+        assert cfg.n == len(cfg.within_vars)
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_nonpositive_variance_rejected(self, bad):
         with pytest.raises(DataError):
-            OracleConfig(n=1, sigma_true=Sym2(0.1, 0.0, 0.1),
+            OracleConfig(sigma_true=Sym2(0.1, 0.0, 0.1),
                          within_vars=((bad, 0.1),), reps=1000, seed=0)
 
     def test_indefinite_sigma_rejected(self):
         with pytest.raises(ValueError):
-            OracleConfig(n=1, sigma_true=Sym2(0.1, 0.5, 0.1),
+            OracleConfig(sigma_true=Sym2(0.1, 0.5, 0.1),
                          within_vars=((0.1, 0.1),), reps=1000, seed=0)
 
     def test_rank_one_truths_accepted_at_any_scale(self):
@@ -89,7 +85,7 @@ class TestOracleConfig:
         theta = rng.uniform(0.0, 2.0 * math.pi, 2000)
         u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         for m in scale[:, None, None] * u[:, :, None] * u[:, None, :]:
-            OracleConfig(n=1, sigma_true=Sym2.from_array(m),
+            OracleConfig(sigma_true=Sym2.from_array(m),
                          within_vars=((0.1, 0.1),), reps=1000, seed=0)
 
     def test_tiny_indefinite_truth_rejected(self):
@@ -97,7 +93,7 @@ class TestOracleConfig:
         sigma = Sym2(1e-12, 0.0, -5e-11)
         assert not sigma.is_psd()
         with pytest.raises(ValueError, match="sigma_true must be PSD"):
-            OracleConfig(n=1, sigma_true=sigma, within_vars=((0.1, 0.1),), reps=1000, seed=0)
+            OracleConfig(sigma_true=sigma, within_vars=((0.1, 0.1),), reps=1000, seed=0)
         assert Sym2(0.0, 0.0, 0.0).is_psd()
 
     def test_nonpositive_reps_rejected(self):
@@ -269,7 +265,7 @@ class TestMcBMoments:
         n = 16
         design = frozen_heterogeneous_design(n)
         sigma = Sym2(0.4, 0.08, 0.4)
-        cfg = OracleConfig(n=n, sigma_true=sigma, within_vars=design, reps=20_000, seed=7)
+        cfg = OracleConfig(sigma_true=sigma, within_vars=design, reps=20_000, seed=7)
         bt, ses = mc_b_moments(cfg)
 
         dummy = Dataset(
@@ -330,7 +326,6 @@ class TestExpansionCoverage:
 
 
 PINNED_COVERAGE_CFG = OracleConfig(
-    n=8,
     sigma_true=Sym2(0.4, 0.16, 0.4),
     within_vars=frozen_heterogeneous_design(8),
     reps=1000,
@@ -354,7 +349,7 @@ class TestMcCoverage:
     def test_singular_truth_rejected_before_the_cholesky(self, estimate):
         # Sigma passes OracleConfig's PSD tolerance, yet D_1 = Sigma + S_1 has a11 < 0
         cfg = OracleConfig(
-            n=2, sigma_true=Sym2(-5e-11, 0.0, 1.0), within_vars=((1e-12, 1.0),) * 2,
+            sigma_true=Sym2(-5e-11, 0.0, 1.0), within_vars=((1e-12, 1.0),) * 2,
             reps=1000, seed=0,
         )
         with pytest.raises(ValueError, match="singular or indefinite marginal covariance D_i"):
@@ -424,7 +419,7 @@ class TestMcCoverage:
     def test_runs_clean_under_warnings_as_errors(self, method):
         # tau2 = 0 and n = 3: the clamp fires and |h| > 1 on most replications
         cfg = OracleConfig(
-            n=3, sigma_true=Sym2(0.0, 0.0, 0.0),
+            sigma_true=Sym2(0.0, 0.0, 0.0),
             within_vars=((0.05, 0.3), (0.2, 0.1), (0.4, 0.25)), reps=100, seed=3,
         )
         with warnings.catch_warnings():
@@ -464,6 +459,22 @@ class TestMcCoverage:
                     confidence_region(d, method)
                 assert type(got.value) is ValueError
 
+    @pytest.mark.parametrize(
+        "estimate",
+        [lambda cfg: mc_coverage(cfg, "ncr"), lambda cfg: mc_coverage(cfg, "ccr"), mc_b_moments],
+        ids=["mc_coverage_ncr", "mc_coverage_ccr", "mc_b_moments"],
+    )
+    def test_one_study_is_refused_as_the_fit_refuses_it(self, estimate):
+        # the study count is checked in the moment kernel the lab and the fit share
+        cfg = OracleConfig(
+            sigma_true=Sym2(0.3, 0.0, 0.3), within_vars=((0.2, 0.2),), reps=1000, seed=0
+        )
+        with pytest.raises(DataError) as fit:
+            bias_corrected_sigma(Dataset([Study(0.0, 0.0, 0.2, 0.2)]))
+        with pytest.raises(DataError) as lab:
+            estimate(cfg)
+        assert str(lab.value) == str(fit.value)
+
     @pytest.mark.parametrize("method", ["ncr", "ccr"])
     def test_returns_python_floats(self, method):
         result = mc_coverage(homogeneous_config(6, 100, 8), method=method)
@@ -493,7 +504,7 @@ class TestDrawFactor:
     @pytest.mark.parametrize("estimate", [mc_coverage, mc_b_moments])
     def test_rank_one_truth_gets_the_rules_error(self, estimate):
         cfg = OracleConfig(
-            n=4, sigma_true=RANK_ONE_TRUTH, within_vars=RANK_ONE_DESIGN, reps=1000, seed=0
+            sigma_true=RANK_ONE_TRUTH, within_vars=RANK_ONE_DESIGN, reps=1000, seed=0
         )
         _d_stack(cfg.s_array(), RANK_ONE_TRUTH.as_array())  # the truth's D_i pass
         with pytest.raises(ValueError, match="singular or indefinite marginal") as got:
@@ -504,7 +515,7 @@ class TestDrawFactor:
     @given(
         log_scale=st.floats(8.0, 20.0),
         angle=st.floats(0.0, math.pi),
-        log_s=st.lists(st.tuples(*[st.floats(-3.0, 0.0)] * 2), min_size=1, max_size=4),
+        log_s=st.lists(st.tuples(*[st.floats(-3.0, 0.0)] * 2), min_size=2, max_size=4),
     )
     def test_rank_one_truths_draw_or_get_the_rules_error(self, log_scale, angle, log_s):
         u = np.array([math.cos(angle), math.sin(angle)])
@@ -516,7 +527,7 @@ class TestDrawFactor:
         except ValueError:
             assume(False)
         cfg = OracleConfig(
-            n=len(s), sigma_true=sigma, within_vars=tuple(map(tuple, s)), reps=100, seed=0
+            sigma_true=sigma, within_vars=tuple(map(tuple, s)), reps=100, seed=0
         )
         try:
             with warnings.catch_warnings():
@@ -535,7 +546,7 @@ class TestDrawFactor:
 
         monkeypatch.setattr(oracle, "_draw_stack", fail)
         cfg = OracleConfig(
-            n=3, sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
+            sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
             reps=1000, seed=0,
         )
         with np.errstate(over="ignore"):
@@ -560,7 +571,7 @@ class TestChunking:
     def test_results_independent_of_chunking(self, monkeypatch, rows):
         moments_cfg = homogeneous_config(5, 1000, 21, sigma=Sym2(0.3, 0.1, 0.2))
         coverage_cfg = OracleConfig(
-            n=5, sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(5),
+            sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(5),
             reps=150, seed=22,
         )
 
@@ -605,7 +616,7 @@ class TestBlockDraw:
     @pytest.mark.parametrize("sigma", [Sym2(0.4, 0.08, 0.4), Sym2(0.0, 0.0, 0.0)])
     def test_draw_stack_matches_per_rep_draws(self, n, sigma):
         cfg = OracleConfig(
-            n=n, sigma_true=sigma, within_vars=frozen_heterogeneous_design(n), reps=1000, seed=31
+            sigma_true=sigma, within_vars=frozen_heterogeneous_design(n), reps=1000, seed=31
         )
         chol = np.linalg.cholesky(_d_stack(cfg.s_array(), sigma.as_array()))
         reps = range(40, 140)
@@ -615,7 +626,7 @@ class TestBlockDraw:
     def test_results_match_per_rep_draws(self, monkeypatch):
         moments_cfg = homogeneous_config(5, 1000, 21, sigma=Sym2(0.3, 0.1, 0.2))
         coverage_cfg = OracleConfig(
-            n=7, sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(7),
+            sigma_true=Sym2(0.3, 0.1, 0.2), within_vars=frozen_heterogeneous_design(7),
             reps=300, seed=22,
         )
 

@@ -447,7 +447,7 @@ class TestEqualStudiesExactCoverage:
         # moves each coverage by at most the run's clamp rate.
         x = chi2_quantile(0.05)
         cfg = OracleConfig(
-            n=n, sigma_true=Sym2(0.4, 0.1, 0.3), within_vars=((0.2, 0.35),) * n,
+            sigma_true=Sym2(0.4, 0.1, 0.3), within_vars=((0.2, 0.35),) * n,
             reps=30_000, seed=1400 + n,
         )
         s = cfg.s_array()
@@ -540,9 +540,10 @@ class TestConfidenceRegion:
         with pytest.raises(ValueError):
             confidence_region(dataset, alpha=0.0)
 
-    @pytest.mark.parametrize("h", [-1.0, -1.5])
+    # h_adjust returns inf on finite trace terms near DBL_MAX, such as (1e308, 1e308, -1e308)
+    @pytest.mark.parametrize("h", [-1.0, -1.5, math.inf])
     def test_nonpositive_factor_leaves_region_undefined(self, monkeypatch, dataset, h):
-        # ConfidenceRegion's threshold check is the one test of 1 + h > 0
+        # ConfidenceRegion's threshold check is the one test that 1 + h is positive and finite
         monkeypatch.setattr(regions, "h_adjust", lambda b, x: h)
         with pytest.raises(RegionUndefinedError, match=rf"threshold factor 1 \+ h = {1.0 + h:g}\)"):
             confidence_region(dataset, method="ccr")
@@ -573,6 +574,13 @@ class TestConfidenceRegion:
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 2.0, 1.0), 1.0, 0.0, 0.05, "ccr")
         with pytest.raises(ValueError):
             ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), 1.0, 0.1, 0.05, "ncr")
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_leaves_region_undefined(self, threshold):
+        # a NaN threshold would contain no point and an infinite one draw inf or
+        # NaN boundary rows
+        with pytest.raises(RegionUndefinedError, match="is not a positive finite number"):
+            ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), threshold, 0.0, 0.05, "ncr")
 
 
 def recipe_tables(count):

@@ -40,7 +40,11 @@ in the code they load. The commands:
   singular (each prints its result or its error); pd_overflow, the
   region boundary of a shape Sym2(1e200, 0, 1e200) and mc_coverage and
   mc_b_moments on the truth Sym2(1e300, 0, 1e300), whose determinants
-  overflow to inf (each prints its result or its error); lab_vs_fit, the repr of
+  overflow to inf (each prints its result or its error); mc_one_study,
+  mc_coverage ncr and ccr and mc_b_moments on a one-study design, which the
+  moment fit refuses (each prints its result or its error);
+  region_nonfinite_threshold, the region boundary at a NaN and at an infinite
+  threshold (each prints its result or its error); lab_vs_fit, the repr of
   the clamped covariance and of h from the Monte Carlo replication fit
   (regions._rep_fit) and from confidence_region on the first table of the
   default_rng(7) recipe of tests/test_regions.py whose clamp rebuilds the
@@ -64,9 +68,10 @@ in the code they load. The commands:
 
 Occurrences of the SRC path in the captured text are replaced by the literal
 "$SRC". A change that should keep every output byte-identical is checked by
-running this on both trees and comparing:
+running each tree's own copy of this script on that tree, since the snippets
+call the API of the tree they belong to, and comparing:
 
-    python3 tools/cli_outputs.py /path/to/parent/src /tmp/before
+    python3 /path/to/parent/tools/cli_outputs.py /path/to/parent/src /tmp/before
     python3 tools/cli_outputs.py src /tmp/after
     diff -r /tmp/before /tmp/after
 
@@ -103,7 +108,7 @@ from dtameta import OracleConfig, Sym2, mc_b_moments, mc_coverage
 sigma = Sym2(7.271121008453897e17, -9.191167182965154e16, 1.161822971822313e16)
 s = ((0.004978732110473153, 0.2544730154631358), (0.5896448087486738, 0.006286237960711253),
      (0.04138121356739469, 0.021294060661170462), (0.6209433036483197, 0.001322915587268277))
-cfg = OracleConfig(n=4, sigma_true=sigma, within_vars=s, reps=1000, seed=0)
+cfg = OracleConfig(sigma_true=sigma, within_vars=s, reps=1000, seed=0)
 for name, run in [("mc_coverage_ncr", lambda: mc_coverage(cfg, "ncr")),
                   ("mc_coverage_ccr", lambda: mc_coverage(cfg, "ccr")),
                   ("mc_b_moments", lambda: mc_b_moments(cfg))]:
@@ -117,7 +122,7 @@ _SINGULAR_A_TRUTH = """
 from dtameta import OracleConfig, Sym2, mc_coverage
 sigma = Sym2(411242653809478.8, 127270022277840.95, 39387107394035.56)
 s = ((0.07250840085041983, 0.2604907992106054), (0.027343258573638195, 0.03825679791142379))
-cfg = OracleConfig(n=2, sigma_true=sigma, within_vars=s, reps=100, seed=0)
+cfg = OracleConfig(sigma_true=sigma, within_vars=s, reps=100, seed=0)
 for method in ("ncr", "ccr"):
     try:
         print(method, repr(mc_coverage(cfg, method)))
@@ -163,7 +168,7 @@ for name, entry in [("gls_beta", gls_beta), ("b_star", b_star), ("v_matrix", v_m
 # determinants that overflow to inf: 1e400 for the shape, 1e600 for each D_i
 _PD_OVERFLOW = """
 from dtameta import ConfidenceRegion, OracleConfig, Sym2, mc_b_moments, mc_coverage, region_boundary
-cfg = OracleConfig(n=3, sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
+cfg = OracleConfig(sigma_true=Sym2(1e300, 0.0, 1e300), within_vars=((0.1, 0.1),) * 3,
                    reps=1000, seed=0)
 shape = Sym2(1e200, 0.0, 1e200)
 for name, run in [
@@ -176,6 +181,30 @@ for name, run in [
         print(name, repr(run()))
     except ValueError as exc:
         print(name, type(exc).__name__, exc)
+"""
+
+# one study: the moment fit refuses it, and the lab with it
+_MC_ONE_STUDY = """
+from dtameta import OracleConfig, Sym2, mc_b_moments, mc_coverage
+cfg = OracleConfig(sigma_true=Sym2(0.3, 0.0, 0.3), within_vars=((0.2, 0.2),), reps=1000, seed=0)
+for name, run in [("mc_coverage_ncr", lambda: mc_coverage(cfg, "ncr")),
+                  ("mc_coverage_ccr", lambda: mc_coverage(cfg, "ccr")),
+                  ("mc_b_moments", lambda: mc_b_moments(cfg))]:
+    try:
+        print(name, repr(run()))
+    except ValueError as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+_REGION_NONFINITE_THRESHOLD = """
+import math
+from dtameta import ConfidenceRegion, Sym2, region_boundary
+for threshold in (math.nan, math.inf):
+    try:
+        region = ConfidenceRegion((0.0, 0.0), Sym2(1.0, 0.0, 1.0), threshold, 0.0, 0.05, "ncr")
+        print(threshold, repr(region_boundary(region, 4).tolist()))
+    except ValueError as exc:
+        print(threshold, type(exc).__name__, exc)
 """
 
 _BAD_SEED = """
@@ -318,6 +347,8 @@ def _commands() -> list[tuple[str, list[str]]]:
     cmds.append(("mc_singular_a_truth", ["-c", _SINGULAR_A_TRUTH]))
     cmds.append(("singular_v_table", ["-c", _SINGULAR_V_TABLE]))
     cmds.append(("pd_overflow", ["-c", _PD_OVERFLOW]))
+    cmds.append(("mc_one_study", ["-c", _MC_ONE_STUDY]))
+    cmds.append(("region_nonfinite_threshold", ["-c", _REGION_NONFINITE_THRESHOLD]))
     cmds.append(("lab_vs_fit", ["-c", _LAB_VS_FIT]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
