@@ -199,19 +199,15 @@ def _moment_bc_array(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s0 + c / n**2
 
 
-def bias_corrected_sigma(d: Dataset, project: bool = True) -> Sym2:
+def bias_corrected_sigma(d: Dataset) -> Sym2:
     """Second-order-unbiased covariance estimate, PSD-projected.
 
     Starts from moment_sigma0 and removes its O(1/n) downward bias, with the
     unknown covariance in the bias term replaced by the plug-in moment
     estimate. The correction is applied first and the eigenvalue clamp second,
     so downstream D_i = Sigma_hat + S_i stay positive definite.
-
-    project=False skips the clamp; it exists so the pre-projection estimator
-    (the quantity that is actually unbiased) can be examined directly.
     """
-    m = _moment_bc_array(*d.arrays())
-    m, changed = _psd_clamp(m) if project else (m, False)
+    m, changed = _psd_clamp(_moment_bc_array(*d.arrays()))
     if changed:
         warnings.warn(
             "between-study covariance estimate was projected to PSD",

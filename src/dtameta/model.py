@@ -10,8 +10,8 @@ covariance, precision of the pooled estimate) share one small value type,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -137,14 +137,14 @@ class Sym2:
         disc = math.sqrt(max(0.25 * (self.a11 - self.a22) ** 2 + self.a12**2, 0.0))
         return (half_trace - disc, half_trace + disc)
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        """Whether the smaller eigenvalue is at least -tol times the larger |eigenvalue|.
+    def is_psd(self) -> bool:
+        """Whether the smaller eigenvalue is at least -1e-10 times the larger |eigenvalue|.
 
         The tolerance is relative, so the verdict does not change with the
         matrix's scale; the zero matrix passes.
         """
         lo, hi = self.eigenvalues()
-        return lo >= -tol * max(-lo, hi)
+        return lo >= -1e-10 * max(-lo, hi)
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a12

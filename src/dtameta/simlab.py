@@ -74,8 +74,7 @@ class Scenario:
             raise ValueError("need at least 2 studies per dataset")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        chi2_quantile(self.alpha)  # raises ValueError unless 0 < alpha < 1
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

@@ -30,10 +30,10 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def summarize_counts(tp: int, fn: int, fp: int, tn: int, cc: float = 0.5, id: str = "") -> Study:
+def summarize_counts(tp: int, fn: int, fp: int, tn: int, id: str = "") -> Study:
     """Build a logit-scale study summary from a 2x2 table of counts.
 
-    The continuity correction cc is added to all four cells if and only if at
+    The continuity correction 0.5 is added to all four cells if and only if at
     least one cell is zero. Within-study variances come from the usual
     delta-method formula 1/a + 1/b on each margin.
     """
@@ -43,7 +43,7 @@ def summarize_counts(tp: int, fn: int, fp: int, tn: int, cc: float = 0.5, id: st
     if tp + fn == 0 or fp + tn == 0:
         raise DataError(f"study {id!r}: empty margin in counts {counts}")
     if any(c == 0 for c in counts):
-        tp, fn, fp, tn = (c + cc for c in counts)
+        tp, fn, fp, tn = (c + 0.5 for c in counts)
     y_a = logit(tp / (tp + fn))
     s_a = 1.0 / tp + 1.0 / fn
     y_b = logit(tn / (tn + fp))

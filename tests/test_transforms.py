@@ -70,13 +70,12 @@ class TestSummarizeCounts:
         assert st_.s_b == pytest.approx(1 / 8.5 + 1 / 2.5, abs=1e-12)
 
     def test_no_correction_when_all_cells_positive(self):
-        a = summarize_counts(9, 1, 1, 9)
-        b = summarize_counts(9, 1, 1, 9, cc=123.0)
-        assert (a.y_a, a.s_a) == (b.y_a, b.s_a)
-
-    def test_custom_correction(self):
-        st_ = summarize_counts(10, 0, 2, 8, cc=1.0)
-        assert st_.y_a == pytest.approx(math.log(11.0), abs=1e-12)
+        # tp=7 fn=2 fp=3 tn=5: the uncorrected closed form, no 0.5 added
+        st_ = summarize_counts(7, 2, 3, 5)
+        assert st_.y_a == pytest.approx(math.log(7 / 2), abs=1e-15)
+        assert st_.y_b == pytest.approx(math.log(5 / 3), abs=1e-15)
+        assert st_.s_a == pytest.approx(1 / 7 + 1 / 2, abs=1e-15)
+        assert st_.s_b == pytest.approx(1 / 5 + 1 / 3, abs=1e-15)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

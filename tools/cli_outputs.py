@@ -54,8 +54,11 @@ in the code they load. The commands:
   and 40 with each warning's full text; float.hex of every coordinate that
   to_roc_space and sroc_curve return on fixed inputs, row by row, so it runs
   on any return type that iterates as rows of two numbers; and namespace,
-  the sorted dtameta.__all__ and the sorted public names of dir(dtameta), so
-  the check also covers the package's API;
+  the sorted dtameta.__all__, the sorted public names of dir(dtameta), and
+  name + inspect.signature of every callable in dtameta.__all__ and
+  dtameta.cli.__all__ but the exception classes, each exported class followed
+  by its public methods, so the check also covers the package's API down to
+  each parameter;
 - thirteen bad-input commands, each meant to exit 2: a short row
   (short_row.csv), a non-integer count (bad_count.csv), a missing input, an
   unwritable --json, validate --reps 999, simulate --rho 1, simulate
@@ -230,10 +233,24 @@ for curve in curves:
     print()
 """
 
+# signatures of the exported callables (exception classes have none) and of
+# the exported classes' public methods, so a removed parameter shows
 _NAMESPACE = """
+import inspect
 import dtameta
 print(*sorted(dtameta.__all__))
 print(*sorted(name for name in dir(dtameta) if not name.startswith("_")))
+import dtameta.cli
+for module in (dtameta, dtameta.cli):
+    for name in sorted(module.__all__):
+        obj = getattr(module, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        print(name + str(inspect.signature(obj)))
+        for attr in sorted(vars(obj) if isinstance(obj, type) else ()):
+            member = getattr(obj, attr)
+            if not attr.startswith("_") and callable(member):
+                print(f"{name}.{attr}{inspect.signature(member)}")
 """
 
 _OUTPUT_IS_INPUT = """
