@@ -74,6 +74,16 @@ def _chol2(m: np.ndarray) -> np.ndarray:
     return l
 
 
+def _study_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a C-contiguous stack over its study axis, a negative axis but never the last.
+
+    einsum adds the studies one at a time in table order, as np.add.reduce does there,
+    bit for bit, and faster on these short trailing axes; so each row sums as it would alone.
+    """
+    rest = list(range(1, -axis))
+    return np.einsum(x, [..., 0, *rest], [..., *rest])
+
+
 def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GLS stacks (D, G = D^{-1}, A = sum_i G_i) at Sigma.
 
@@ -82,7 +92,7 @@ def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     d = _d_stack(s, sigma)
     g = _inv2(d)
-    if not _all_pd(a := g.sum(axis=-3)):
+    if not _all_pd(a := _study_sum(g, -3)):
         raise ValueError("accumulated precision is singular")
     return d, g, a
 
@@ -90,9 +100,10 @@ def _precisions(s: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _gls_mean(g: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """GLS pooled mean A^{-1} sum_i G_i y_i of each (..., n, 2) stack of y, shape (..., 2).
 
-    The 2x2 solve is Cramer's rule, so no V = A^{-1} is formed.
+    The 2x2 solve is Cramer's rule, so no V = A^{-1} is formed. sum_i G_i y_i adds
+    each G_i y_i's two terms, then the studies in table order, as einsum does.
     """
-    b = np.einsum("...iab,...ib->...a", g, y)
+    b = _study_sum(g[..., 0] * y[..., :1] + g[..., 1] * y[..., 1:], -2)
     det = _det2(a)
     x0 = (a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1]) / det
     x1 = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / det
@@ -141,10 +152,14 @@ def moment_sigma0(d: Dataset) -> Sym2:
 
 def _moment_raw(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Residual second moment about the mean minus the mean within-study variance, (..., 2, 2)."""
-    if y.shape[-2] < 2:
+    n = y.shape[-2]
+    if n < 2:
         raise DataError("moment estimator needs at least 2 studies")
-    r = y - y.mean(axis=-2, keepdims=True)
-    m = np.einsum("...ia,...ib->...ab", r, r) / y.shape[-2]
+    r = y - _study_sum(y, -2)[..., None, :] / n
+    p = np.empty(r.shape[:-1] + (3,))  # r0 r0, r0 r1, r1 r1: C-contiguous for _study_sum
+    for k, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(r[..., a], r[..., b], out=p[..., k])
+    m = (_study_sum(p, -2) / n)[..., [0, 1, 1, 2]].reshape(r.shape[:-2] + (2, 2))
     m[..., 0, 0] -= s[..., 0].mean(axis=-1)
     m[..., 1, 1] -= s[..., 1].mean(axis=-1)
     return m
@@ -193,7 +208,7 @@ def _moment_bc_array(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = y.shape[-2]
     s0 = _moment_raw(y, s)
     c = n * s0
-    col = s.sum(axis=-2)
+    col = _study_sum(s, -2)
     c[..., 0, 0] += col[..., 0]
     c[..., 1, 1] += col[..., 1]
     return s0 + c / n**2

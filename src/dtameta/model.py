@@ -124,7 +124,7 @@ class Sym2:
     a22: float
 
     @classmethod
-    def from_array(cls, m: np.ndarray) -> "Sym2":
+    def from_array(cls, m: np.ndarray) -> Sym2:
         m = np.asarray(m, dtype=float)
         return cls(float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1]))
 

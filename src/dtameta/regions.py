@@ -31,7 +31,7 @@ import numpy as np
 
 from .estimators import (
     _checked_precisions, _chol2, _gls_mean, _inv2, _moment_bc_array, _precisions, _psd_clamp,
-    bias_corrected_sigma, reml_sigma,
+    _study_sum, bias_corrected_sigma, reml_sigma,
 )
 from .model import (
     AdjustmentMagnitudeWarning,
@@ -113,7 +113,7 @@ def _b_star_kernel(dmats: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.nda
     d4 = dmats.reshape(r, n, 4) @ lk
     g = _inv2(d4.reshape(r, n, 2, 2))
     g4, q4 = g.reshape(r, n, 4), (g @ g).reshape(r, n, 4)
-    p4 = q4.sum(axis=1, keepdims=True)
+    p4 = _study_sum(q4, -2)[:, None]
     gg, dd, pp, qg = (np.swapaxes(x, 1, 2) @ y for x, y in ((g4, g4), (d4, d4), (p4, p4), (q4, g4)))
     kg, kd = (m.reshape(r, 2, 2, 2, 2).swapaxes(2, 3).reshape(r, 4, 4) for m in (gg, dd))
 

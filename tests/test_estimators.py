@@ -23,7 +23,7 @@ from dtameta import (
     reml_sigma,
     v_matrix,
 )
-from dtameta import estimators, regions
+from dtameta import estimators, oracle, regions
 from dtameta.cli import read_table
 from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll, _sigma_of
 
@@ -288,6 +288,67 @@ class TestClosedForms:
         assert out.shape == (2, 2) and changed.shape == ()
         assert bool(changed) == ref_changed[0]
         assert np.array_equal(out, ref_out[0])
+
+
+def study_entries(rng, shape):
+    """Magnitudes 1e-12 to 1e12 of either sign, about one entry in ten an exact zero of either sign."""
+    x = 10.0 ** rng.uniform(-12.0, 12.0, shape) * rng.choice([-1.0, 1.0], shape)
+    zero = rng.random(shape) < 0.1
+    x[zero] = np.copysign(0.0, x[zero])
+    return x
+
+
+STUDY_COUNTS = [2, 3, 9, 16, 33, 4096]
+
+
+def study_stacks(n):
+    """(shape, study axis) of a table's and of stacked replications' layouts, R up to one chunk."""
+    cap = oracle._CHUNK_ROWS // n
+    stacks = [((n, 2), -2), ((n, 2, 2), -3)]
+    for r in sorted({1, min(7, cap), cap}):
+        stacks += [((r, n, 2), -2), ((r, n, 3), -2), ((r, n, 4), -2), ((r, n, 2, 2), -3)]
+    return stacks
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64), ref.view(np.uint64))
+
+
+class TestStudySumOrder:
+    # The lab equals the fit bit for bit, and chunking never changes a result,
+    # because every sum over studies adds them one at a time in table order.
+    # numpy does not document that order for einsum or reduce, so a numpy
+    # that changes it must fail here.
+    @pytest.mark.parametrize("n", STUDY_COUNTS)
+    def test_study_sum_is_add_reduce(self, n):
+        rng = np.random.default_rng(n)
+        for shape, axis in study_stacks(n):
+            x = study_entries(rng, shape)
+            assert_same_bits(estimators._study_sum(x, axis), np.add.reduce(x, axis=axis))
+
+    @pytest.mark.parametrize("n", STUDY_COUNTS)
+    def test_moment_product_sums_are_the_einsum(self, n):
+        rng = np.random.default_rng(n)
+        for shape, _ in study_stacks(n):
+            if shape[-2:] != (n, 2):
+                continue
+            y = study_entries(rng, shape)
+            r = y - y.mean(axis=-2, keepdims=True)
+            ref = np.einsum("...ia,...ib->...ab", r, r) / n
+            assert_same_bits(estimators._moment_raw(y, np.zeros(shape)), ref)
+
+    @pytest.mark.parametrize("n", STUDY_COUNTS)
+    def test_gls_sums_are_the_einsum(self, n):
+        # at A = I, Cramer's rule returns sum_i G_i y_i itself
+        rng = np.random.default_rng(n)
+        for shape, axis in study_stacks(n):
+            if axis != -3:
+                continue
+            g, y = study_entries(rng, shape), study_entries(rng, shape[:-1])
+            ref = np.einsum("...iab,...ib->...a", g, y)
+            eye = np.broadcast_to(np.eye(2), ref.shape + (2,))
+            assert_same_bits(estimators._gls_mean(g, eye, y), ref)
 
 
 def restricted_nll_reference(sigma_arr, y, s):

@@ -49,6 +49,9 @@ in the code they load. The commands:
   (regions._rep_fit) and from confidence_region on the first table of the
   default_rng(7) recipe of tests/test_regions.py whose clamp rebuilds the
   covariance from eigh, so a difference between the two fits shows;
+  large_n, the repr of confidence_region's covariance, pooled mean, V and h
+  on a seeded table of 1024 studies built in the snippet through the public
+  API, where a change in the order the studies are summed shows;
   reml_sigma on the fixture, 40 seeded tables and 15 near-boundary ones
   (tau2 = 0 at n = 3 and 5, correlation 0.999), also capped at max_iter 2, 5
   and 40 with each warning's full text; float.hex of every coordinate that
@@ -155,6 +158,25 @@ with warnings.catch_warnings():
     _, fit = confidence_region(Dataset(Study(*y[i], *s[i]) for i in range(n)), "ccr")
 print("lab", *(repr(float(v)) for v in lab_sigma.ravel()), repr(float(lab_h[0])))
 print("fit", *(repr(v) for v in (fit.sigma.a11, fit.sigma.a12, fit.sigma.a12, fit.sigma.a22, fit.h)))
+"""
+
+# a seeded table of 1024 studies, where the order in which the studies are
+# summed shows in the last bits of every number printed
+_LARGE_N = """
+import warnings
+import numpy as np
+from dtameta import Dataset, Study, confidence_region
+rng = np.random.default_rng(1024)
+s = rng.uniform(0.02, 0.5, (1024, 2))
+y = rng.multivariate_normal([1.2, 0.8], [[0.4, 0.1], [0.1, 0.3]], 1024)
+y += np.sqrt(s) * rng.standard_normal((1024, 2))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    _, fit = confidence_region(Dataset(Study(*y[i], *s[i]) for i in range(1024)), "ccr")
+for name, m in (("sigma", fit.sigma), ("v", fit.v)):
+    print(name, repr(m.a11), repr(m.a12), repr(m.a22))
+print("beta", *(repr(b) for b in fit.beta))
+print("h", repr(fit.h))
 """
 
 _SINGULAR_V_TABLE = """
@@ -367,6 +389,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     cmds.append(("mc_one_study", ["-c", _MC_ONE_STUDY]))
     cmds.append(("region_nonfinite_threshold", ["-c", _REGION_NONFINITE_THRESHOLD]))
     cmds.append(("lab_vs_fit", ["-c", _LAB_VS_FIT]))
+    cmds.append(("large_n", ["-c", _LARGE_N]))
     cmds.append(("reml_tables", ["-c", _REML_TABLES.format(fixture=FIXTURE)]))
     simulate = ["simulate", "--tau2", "0.2", "--n", "4"]
     for name, argv in [
