@@ -83,11 +83,15 @@ def read_table(path: str) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     with fh:
-        rows = [r for r in csv.reader(fh)]
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+        # (file line the record starts on, record) of each record with a nonblank cell
+        reader, rows, start = csv.reader(fh), [], 1
+        for r in reader:
+            if "".join(r).strip():
+                rows.append((start, r))
+            start = reader.line_num + 1
     if not rows:
         raise DataError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if header == COUNT_HEADER:
         kind, what, build = int, "counts must be integers", summarize_counts
     elif header in (SUMMARY_HEADER, _LOGIT_HEADER):
@@ -99,11 +103,11 @@ def read_table(path: str) -> Dataset:
             f"or {','.join(_LOGIT_HEADER)!r}"
         )
     studies = []
-    for i, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         row = [cell.strip() for cell in row]
         if len(row) != 5:
-            raise DataError(f"row {i}: expected 5 fields, got {len(row)}")
-        studies.append(_parse_row(row, i, kind, what, build))
+            raise DataError(f"row {line}: expected 5 fields, got {len(row)}")
+        studies.append(_parse_row(row, line, kind, what, build))
     return Dataset(studies)
 
 

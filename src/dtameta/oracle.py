@@ -22,17 +22,19 @@ scenarios with equal n, whose chunks may span scenarios): chunks of at most
 _CHUNK_ROWS replication x study rows, each run by a step whose columns fill
 one preallocated array, so memory stays flat in reps and chunking never
 changes a result. A step draws, then fits. The draw reads replication r's
-rep_stream(seed, r) as one block of 2n standard normals; the stream states
-of a chunk are derived at once and set on one generator in turn
-(_stream_states, _normal_blocks, which simlab shares per scenario), and the
-block is colored on the whole stack by each D_i's lower Cholesky factor L
-from the closed form the fit uses (estimators._chol2), so every truth whose
-D_i pass model._all_pd draws; it is written out as y1 = l11 z1 and
-y2 = l21 z1 + l22 z2. The fit then runs once on the stack.
+rep_stream(seed, r) as one block of 2n standard normals: the chunk's
+SeedSequence words are hashed at once (_stream_words), and numpy's PCG64
+seeds each row's generator from its words (_normal_blocks, which simlab
+shares), so no generator state is written by hand. The block is colored
+on the whole stack by each D_i's lower Cholesky factor L from the closed
+form the fit uses (estimators._chol2), so every truth whose D_i pass
+model._all_pd draws; it is written out as y1 = l11 z1 and y2 = l21 z1 +
+l22 z2. The fit then runs once on the stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,17 +102,14 @@ def rep_stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# 128-bit LCG multiplier (O'Neill 2014, "PCG", HMC-CS-2014-0905)
+# SeedSequence's hash constants (numpy.random.bit_generator)
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SHIFT = np.uint32(16)
 
 
@@ -133,21 +132,18 @@ def _n_words(value: int) -> int:
     return max(1, -(-int(value).bit_length() // 32))
 
 
-def _stream_states(seed: int, reps: range) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of rep_stream(seed, r) for each r in reps (all below 2**64).
+def _stream_words(seed: int, reps: range) -> np.ndarray:
+    """Row j: SeedSequence(entropy=seed, spawn_key=(reps[j],)).generate_state(4, np.uint64).
 
-    Replays the seeding without building a SeedSequence per replication. The
+    Replays the hashing without building a SeedSequence per replication. The
     pool of SeedSequence(seed) already holds every step that reads only the
     run entropy (entropy shorter than the pool hashes as zero words, with or
     without a spawn key). Spawn key r adds its 32-bit words last, each hashed
     and mixed into all four pool words, the hash constant advancing once per
-    hash from where the run entropy left it. generate_state(4, uint64) then
-    hashes the pool into a 128-bit seed and increment, and PCG64 seeds with
-    two LCG steps.
+    hash from where the run entropy left it. generate_state then hashes the
+    pool into 8 words read as 4 little-endian uint64. Every r is below 2**64.
     """
     run = np.random.SeedSequence(seed)
-    if not reps:
-        return []
     r = np.arange(reps.start, reps.stop, dtype=np.uint64)
     pool = run.pool
     # the run entropy took 4 hashes to fill the pool, 12 to cross-mix it and 4 per word past 4
@@ -162,28 +158,42 @@ def _stream_states(seed: int, reps: range) -> list[tuple[int, int]]:
         pool = mixed if k == 0 else np.where(r[:, None] >> np.uint64(32 * k) > 0, mixed, pool)
     words = (pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL
     words ^= words >> _SHIFT
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words.reshape(-1, 8).astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
-    return states
+    return words.reshape(-1, 8).astype("<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _normal_blocks(seed: int, reps: range, width: int) -> np.ndarray:
-    """(R, width) stack whose row j is the first width normals of rep_stream(seed, reps[j]).
+@functools.cache
+def _words_seeder() -> type:
+    """ISeedSequence class handing out its words' rows in turn, one per generate_state(4, uint64).
 
-    One PCG64 and Generator pair, this call's own, is set to each
-    replication's stream state in turn from one state dict whose (state, inc)
-    is rewritten per row, so a row costs one state set and one draw call.
+    PCG64 seeds from exactly that request; any other raises TypeError. Built on
+    first use, so importing the package does not load numpy.random.
     """
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).standard_normal
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    lcg = state["state"]
-    z = np.empty((len(reps), width))
-    for row, (lcg["state"], lcg["inc"]) in zip(z, _stream_states(seed, reps)):
-        bits.state = state
-        draw(out=row)
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeeder(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:  # PCG64 reads each row's 4 words in place
+            self._rows = iter(np.ascontiguousarray(words, np.uint64).reshape(-1, 4))
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise TypeError(f"holds 4 uint64 words per stream, not {n_words} of {dtype}")
+            return next(self._rows)
+
+    return WordsSeeder
+
+
+def _normal_blocks(words: np.ndarray, width: int) -> np.ndarray:
+    """(R, width) stack whose row j is the first width normals of the stream words[j] seeds.
+
+    For words = _stream_words(seed, reps), row j is rep_stream(seed, reps[j])'s.
+    numpy's own PCG64 seeding reads each row through the ISeedSequence
+    interface, so a row costs one PCG64, one Generator and one draw call.
+    """
+    rows = _words_seeder()(words)
+    bits, gen = np.random.PCG64, np.random.Generator
+    z = np.empty((len(words), width))
+    for row in z:
+        gen(bits(rows)).standard_normal(out=row)
     return z
 
 
@@ -194,7 +204,7 @@ def _draw_stack(cfg: OracleConfig, reps: range, chol: np.ndarray) -> np.ndarray:
     lower Cholesky factor; the normals are one block per stream, colored in
     place on the whole stack.
     """
-    z = _normal_blocks(cfg.seed, reps, 2 * cfg.n).reshape(len(reps), cfg.n, 2)
+    z = _normal_blocks(_stream_words(cfg.seed, reps), 2 * cfg.n).reshape(len(reps), cfg.n, 2)
     z[..., 1] *= chol[:, 1, 1]
     z[..., 1] += chol[:, 1, 0] * z[..., 0]
     z[..., 0] *= chol[:, 0, 0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import _i2_array
 from .model import Dataset, Study
-from .oracle import _by_chunk, _coverage, _normal_blocks, rep_stream
+from .oracle import _by_chunk, _coverage, _normal_blocks, _stream_words, rep_stream
 from .regions import _rep_fit, chi2_quantile
 
 __all__ = [
@@ -160,9 +160,9 @@ def _draw_block(parts: Sequence[tuple[Scenario, range]]) -> tuple[np.ndarray, np
     """(y, s) stacks, each (R, n, 2), of the replications of parts, scenarios of one n, in order.
 
     The rows of part (sc, reps) are _draw(sc, r, _sigma_chol(sc.tau2, sc.rho))
-    for r in reps. numpy draws normals sequentially, so one call per part for
-    _BLOCK_BATCHES * n of them holds every value _draw reads, in the same
-    order. The rejection bookkeeping then runs once on the whole stack:
+    for r in reps. All parts' rows are drawn into one block, whose row of
+    _BLOCK_BATCHES * n normals holds every value _draw reads, in its order.
+    The rejection bookkeeping then runs once on the whole stack:
     cumulative accepted counts at each batch end give the batch that fills
     each variance column, masks gather the accepted variances, and mu and the
     noise are the 4n normals that follow, mu colored by its row's own factor.
@@ -170,7 +170,7 @@ def _draw_block(parts: Sequence[tuple[Scenario, range]]) -> tuple[np.ndarray, np
     """
     n, width = parts[0][0].n, _BLOCK_BATCHES * parts[0][0].n
     sizes = [len(reps) for _, reps in parts]
-    z = np.concatenate([_normal_blocks(sc.seed, reps, width) for sc, reps in parts])
+    z = _normal_blocks(np.concatenate([_stream_words(sc.seed, reps) for sc, reps in parts]), width)
     chol = np.repeat([_sigma_chol(sc.tau2, sc.rho) for sc, _ in parts], sizes, axis=0)
     cand = 0.25 * z**2
     ok = (cand >= _VAR_LO) & (cand <= _VAR_HI)
@@ -195,9 +195,10 @@ def _draw_block(parts: Sequence[tuple[Scenario, range]]) -> tuple[np.ndarray, np
     y = np.empty_like(s)
     y[good] = tail[:, : 2 * n].reshape(-1, n, 2) @ np.swapaxes(chol[good], 1, 2)
     y[good] += np.sqrt(s[good]) * tail[:, 2 * n :].reshape(-1, n, 2)
-    rows = [(sc, r) for sc, reps in parts for r in reps]
-    for j in np.flatnonzero(short):
-        y[j], s[j] = _draw(*rows[j], chol[j])
+    if short.any():
+        rows = [(sc, r) for sc, reps in parts for r in reps]
+        for j in np.flatnonzero(short):
+            y[j], s[j] = _draw(*rows[j], chol[j])
     return y, s
 
 
@@ -236,8 +237,8 @@ def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     of the next. _by_chunk bounds the replication x study rows of a chunk,
     so memory does not grow with reps. Each chunk runs in two phases. The
     draw reads replication r of a scenario from its own (seed, r) stream as
-    one block of standard normals; the streams of the chunk's part of a
-    scenario are derived together and set in turn on one generator. The
+    one block of standard normals; numpy's PCG64 seeds each row from words
+    hashed together for the chunk's part of a scenario. The
     rejection-sampled variances, mu (colored by its own scenario's Sigma)
     and the noise are read off the stacked blocks in stream order, and the
     moment fit, GLS, trace terms and h (regions._rep_fit, the public fit on

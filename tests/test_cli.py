@@ -137,6 +137,26 @@ class TestReadTable:
             read_table(str(path))
         assert isinstance(info.value, DataError)
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            # blank and whitespace-only lines count, though they hold no record
+            ("id,tp,fn,fp,tn\na,9,1,1,9\n\n\nb,9,x,1,9\n", "row 5 (id 'b'): counts must be"),
+            ("\n id,tp,fn,fp,tn\n , \na,9,1,1\n", "row 4: expected 5 fields, got 4"),
+            ("id,tp,fn,fp,tn\r\n\r\na,9,1,1,9\r\nb,-1,1,1,9\r\n", "row 4 (id 'b'): "),
+            # a quoted id spanning lines moves every later record down, and a record is
+            # named by the line it starts on
+            ('id,tp,fn,fp,tn\n"a\nb",9,1,1,9\nc,9,x,1,9\n', "row 4 (id 'c'): counts must be"),
+            ('id,tp,fn,fp,tn\na,9,1,1,9\n"b\n\nc",9,x,1,9\n', "row 3 (id 'b\\n\\nc'): counts"),
+        ],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body.encode())
+        with pytest.raises(DataError) as info:
+            read_table(str(path))
+        assert str(info.value).startswith(message)
+
     @pytest.mark.parametrize("columns", ["y_sens,y_spec", "logit_sens,logit_spec"])
     def test_summary_headers(self, tmp_path, columns):
         path = tmp_path / "summary.csv"
@@ -885,6 +905,17 @@ class TestParser:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout == "\n"
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the Monte Carlo loops load numpy.random on first use, so no command pays for it at import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, dtameta.cli; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "True False\n"
 
     def test_success_returns_int_zero(self, capsys, summary_table):
         code = main(["fit", "--input", summary_table])

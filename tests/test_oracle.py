@@ -122,15 +122,23 @@ class TestRepStream:
         assert not np.array_equal(a, b)
 
 
-def states_of(seed, reps):
-    return [rep_stream(seed, r).bit_generator.state for r in reps]
+def words_of(seed, reps):
+    return np.array(
+        [np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(4, np.uint64)
+         for r in reps],
+        dtype=np.uint64,
+    ).reshape(-1, 4)
 
 
-def bulk_states_of(seed, reps):
-    return [
-        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
-        for s, i in oracle._stream_states(seed, reps)
-    ]
+def assert_words_seed_rep_streams(seed, reps):
+    # the words are SeedSequence's own, and PCG64 seeded from them is rep_stream's
+    words = oracle._stream_words(seed, reps)
+    assert words.dtype == np.uint64 and words.shape == (len(reps), 4)
+    assert words.flags.c_contiguous
+    assert words.tobytes() == words_of(seed, reps).tobytes()
+    seeder = oracle._words_seeder()(words)
+    for r in reps:
+        assert np.random.PCG64(seeder).state == rep_stream(seed, r).bit_generator.state
 
 
 class TestBulkStreams:
@@ -141,8 +149,7 @@ class TestBulkStreams:
         count=st.integers(0, 5),
     )
     def test_states_match_rep_stream(self, seed, start, count):
-        reps = range(start, start + count)
-        assert bulk_states_of(seed, reps) == states_of(seed, reps)
+        assert_words_seed_rep_streams(seed, range(start, start + count))
 
     @pytest.mark.parametrize(
         "seed", [0, 2**32 - 1, 2**32, 2**96 - 1, 2**128 - 1, 2**128, 2**160 + 3, 2**191]
@@ -152,26 +159,42 @@ class TestBulkStreams:
     )
     def test_states_at_word_boundaries(self, seed, reps):
         # run entropy of 1 to 6 words, spawn keys of 1 and 2 words, and a chunk spanning both
-        assert bulk_states_of(seed, reps) == states_of(seed, reps)
+        assert_words_seed_rep_streams(seed, reps)
 
     def test_negative_seed_raises_like_rep_stream(self):
         with pytest.raises(ValueError) as expected:
             rep_stream(-1, 0)
         with pytest.raises(ValueError) as got:
-            oracle._stream_states(-1, range(4))
+            oracle._stream_words(-1, range(4))
         assert str(got.value) == str(expected.value)
 
     def test_normal_blocks_are_rep_stream_draws(self):
-        # a call rewrites its one state dict per row, so calls alternating seeds and
+        # each row seeds its own PCG64 from its own words, so calls alternating seeds and
         # widths, an empty range among them, must each give exactly their own streams
         calls = [
             (11, range(5, 9), 7), (2**64 + 3, range(2**32 - 2, 2**32 + 1), 32), (11, range(4, 4), 9)
         ]
         for seed, reps, width in calls * 2:
-            z = oracle._normal_blocks(seed, reps, width)
+            z = oracle._normal_blocks(oracle._stream_words(seed, reps), width)
             assert z.shape == (len(reps), width)
             for row, r in zip(z, reps):
                 assert row.tobytes() == rep_stream(seed, r).standard_normal(width).tobytes()
+
+    @pytest.mark.parametrize(
+        "request_", [(8, np.uint32), (2, np.uint64), (4, np.uint32), (4, np.int64), (8, np.uint64)]
+    )
+    def test_words_seeder_refuses_other_requests(self, request_):
+        seeder = oracle._words_seeder()(oracle._stream_words(3, range(2)))
+        with pytest.raises(TypeError):
+            seeder.generate_state(*request_)
+        # a refused request hands out no row: the next (4, uint64) one gets the first
+        first = seeder.generate_state(4, np.uint64)
+        assert first.tobytes() == words_of(3, range(1)).tobytes()
+
+    def test_words_seeder_refuses_other_bit_generators(self):
+        seeder = oracle._words_seeder()(oracle._stream_words(3, range(1)))
+        with pytest.raises(TypeError):
+            np.random.MT19937(seeder)
 
 
 class TestMcBMoments:
@@ -645,6 +668,8 @@ class TestBlockDraw:
         cfg = homogeneous_config(4, 1000, 23, sigma=Sym2(0.3, 0.1, 0.2))
         mc_coverage(cfg, "ccr")
         mc_b_moments(cfg)
-        # one SeedSequence and one PCG64 per chunk of each call
+        # one SeedSequence per chunk of each call, and one PCG64 per replication
         chunks = math.ceil(cfg.reps / (oracle._CHUNK_ROWS // cfg.n))
-        assert stream_builds == {"SeedSequence": 2 * chunks, "PCG64": 2 * chunks, "default_rng": 0}
+        assert stream_builds == {
+            "SeedSequence": 2 * chunks, "PCG64": 2 * cfg.reps, "default_rng": 0
+        }

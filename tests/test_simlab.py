@@ -255,18 +255,25 @@ class TestBlockDraw:
         assert s.tobytes() == s_ref.tobytes()
 
 
-def test_run_grid_builds_no_stream_per_replication(stream_builds):
+def test_run_grid_builds_no_stream_per_replication(stream_builds, monkeypatch):
     # three scenarios of one n run as one group; at the default cap it has 3 chunks, and
     # the first two each span two scenarios
     grid = [Scenario(tau2=0.4, rho=0.4, n=8, reps=1500, seed=seed) for seed in (9, 10, 11)]
+    short_rows = []
+
+    def draw(sc, rep, chol, _draw=simlab._draw):
+        short_rows.append((sc.seed, rep))
+        return _draw(sc, rep, chol)
+
+    monkeypatch.setattr(simlab, "_draw", draw)
     run_grid(grid)
-    # one SeedSequence and one PCG64 per scenario part of a chunk, plus rep_stream for the
-    # rare short row
+    # at most one SeedSequence per scenario part of a chunk and one PCG64 per replication,
+    # plus one rep_stream per rare short row
     chunks = math.ceil(sum(sc.reps for sc in grid) / (oracle._CHUNK_ROWS // 8))
     parts = chunks + len(grid) - 1
-    assert stream_builds["PCG64"] <= parts
-    assert stream_builds["default_rng"] <= 2
-    assert stream_builds["SeedSequence"] <= parts + stream_builds["default_rng"]
+    assert stream_builds["PCG64"] == sum(sc.reps for sc in grid)
+    assert stream_builds["default_rng"] == len(short_rows) <= 2
+    assert stream_builds["SeedSequence"] <= parts + len(short_rows)
 
 
 class TestRunGrid:
