@@ -60,19 +60,6 @@ class _TooFewError(Exception):
     """Fewer than 3 studies to fit; maps to exit code 3."""
 
 
-def _parse_row(row: list[str], line: int, kind, what: str, build) -> Study:
-    """build(*fields, id=...) of one data row, its four fields read as kind; errors name the row."""
-    where = f"row {line} (id {row[0]!r})"
-    try:
-        fields = [kind(v) for v in row[1:]]
-    except ValueError:
-        raise DataError(f"{where}: {what}, got {row[1:]}")
-    try:
-        return build(*fields, id=row[0])
-    except ValueError as exc:  # covers DataError
-        raise DataError(f"{where}: {exc}")
-
-
 def read_table(path: str) -> Dataset:
     """Parse a study table in count or summary form, auto-detected from the header.
 
@@ -85,10 +72,15 @@ def read_table(path: str) -> Dataset:
     with fh:
         # (file line the record starts on, record) of each record with a nonblank cell
         reader, rows, start = csv.reader(fh), [], 1
-        for r in reader:
-            if "".join(r).strip():
-                rows.append((start, r))
-            start = reader.line_num + 1
+        try:
+            for r in reader:
+                if "".join(r).strip():
+                    rows.append((start, r))
+                start = reader.line_num + 1
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise DataError(f"{path}: row {start}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}")
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0][1]]
@@ -107,7 +99,15 @@ def read_table(path: str) -> Dataset:
         row = [cell.strip() for cell in row]
         if len(row) != 5:
             raise DataError(f"row {line}: expected 5 fields, got {len(row)}")
-        studies.append(_parse_row(row, line, kind, what, build))
+        where = f"row {line} (id {row[0]!r})"
+        try:
+            fields = [kind(v) for v in row[1:]]
+        except ValueError:
+            raise DataError(f"{where}: {what}, got {row[1:]}")
+        try:
+            studies.append(build(*fields, id=row[0]))
+        except ValueError as exc:  # covers DataError
+            raise DataError(f"{where}: {exc}")
     return Dataset(studies)
 
 
@@ -249,7 +249,6 @@ def _fit_report(
         "warnings": list(dict.fromkeys(messages)),
     }
     if estimator == "both":
-        assert reml_fit is not None and ncr_reml is not None
         report["reml"] = {**_fit_json(reml_fit), "regions": {"ncr": _region_json(ncr_reml)}}
     return report, primary, ncr_primary, ccr
 
@@ -419,10 +418,7 @@ def validation_preset(
         expected = (4.0 / 32, 6.0 / 32, 0.0)
     elif name == "heterogeneous":
         sigma, sv = Sym2(0.4, 0.08, 0.4), gen_within_variances(16, rep_stream(DESIGN_SEED, 0))
-        design = Dataset(
-            Study(0.0, 0.0, a, b, id=f"design{i + 1:02d}") for i, (a, b) in enumerate(sv)
-        )
-        b = b_star(design, sigma)
+        b = b_star(Dataset(Study(0.0, 0.0, a, b) for a, b in sv), sigma)
         expected = (b.b1, b.b2, b.b3)
     elif name == "degenerate":
         sigma, sv = Sym2(0.0, 0.0, 0.0), [(0.2, 0.3)] * 8

@@ -349,7 +349,7 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
     if d.n < 3:
         raise DataError("REML needs at least 3 studies")
     y, s = d.arrays()
-    if np.allclose(y, y[0], rtol=0.0, atol=0.0):
+    if (y == y[0]).all():
         raise DataError("degenerate dataset: all study summaries identical")
 
     start_sigma = _psd_clamp(_moment_bc_array(y, s))[0]

@@ -97,22 +97,19 @@ class Dataset:
 
     def __init__(self, studies: Iterable[Study]):
         object.__setattr__(self, "studies", tuple(studies))
+        y = np.array([(st.y_a, st.y_b) for st in self.studies], dtype=float).reshape(-1, 2)
+        s = np.array([(st.s_a, st.s_b) for st in self.studies], dtype=float).reshape(-1, 2)
+        y.flags.writeable = False
+        s.flags.writeable = False
+        object.__setattr__(self, "_arrays", (y, s))
 
     @property
     def n(self) -> int:
         return len(self.studies)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (y, s) as read-only float arrays of shape (n, 2), built on the first call."""
-        cached = self.__dict__.get("_arrays")
-        if cached is None:
-            y = np.array([(st.y_a, st.y_b) for st in self.studies], dtype=float).reshape(-1, 2)
-            s = np.array([(st.s_a, st.s_b) for st in self.studies], dtype=float).reshape(-1, 2)
-            y.flags.writeable = False
-            s.flags.writeable = False
-            cached = (y, s)
-            object.__setattr__(self, "_arrays", cached)
-        return cached
+        """Return (y, s), the read-only float arrays of shape (n, 2) built with the dataset."""
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ class Sym2:
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalues in ascending order, by the closed form for 2x2 symmetric."""
         half_trace = 0.5 * (self.a11 + self.a22)
-        disc = math.sqrt(max(0.25 * (self.a11 - self.a22) ** 2 + self.a12**2, 0.0))
+        disc = math.sqrt(0.25 * (self.a11 - self.a22) ** 2 + self.a12**2)
         return (half_trace - disc, half_trace + disc)
 
     def is_psd(self) -> bool:

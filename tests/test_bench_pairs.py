@@ -21,7 +21,8 @@ class TestSummarize:
         assert got["change_over_parent"] == pytest.approx(1.2)
         assert got["worse_by_fraction"] == pytest.approx(-0.2)
         assert got["within_bound"] and got["parent_iqr"] == 10.0
-        assert not got["all_change_runs_better"]
+        assert got["parent_spread"] == pytest.approx(0.1)
+        assert not got["all_change_runs_better"] and not got["unresolved"]
 
     def test_lower_is_better_and_bound(self):
         metric = {"unit": "MB", "better": "lower", "bound": 0.1}
@@ -36,3 +37,17 @@ class TestSummarize:
     def test_ties_are_not_wins(self):
         metric = {"unit": "s", "better": "lower", "bound": 0.25}
         assert bench_pairs.summarize(metric, [1.0], [1.0])["change_wins"] == "0/1"
+
+    def test_spread_wider_than_bound_is_unresolved(self):
+        # the parent's runs spread (1.5 - 1.0) / 1.2 = 0.42 of their median, past the bound
+        metric = {"unit": "s", "better": "lower", "bound": 0.25}
+        parent = [1.0, 1.0, 1.2, 1.5, 1.5]
+        got = bench_pairs.summarize(metric, parent, [1.1, 1.3, 1.2, 1.0, 1.4])
+        assert got["parent_spread"] == pytest.approx(0.5 / 1.2)
+        assert got["within_bound"] and got["unresolved"]
+
+    def test_wide_spread_is_resolved_when_every_change_run_is_better(self):
+        metric = {"unit": "s", "better": "lower", "bound": 0.25}
+        got = bench_pairs.summarize(metric, [1.0, 1.0, 1.2, 1.5, 1.5], [0.5, 0.6, 0.55, 0.7, 0.9])
+        assert got["parent_spread"] > 0.25 and got["all_change_runs_better"]
+        assert not got["unresolved"]

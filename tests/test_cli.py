@@ -157,6 +157,25 @@ class TestReadTable:
             read_table(str(path))
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            # one quoted id over csv's 131072-character field limit, on the record at line 3
+            (b'id,tp,fn,fp,tn\na,9,1,1,9\n"' + b"x" * 200000 + b'",9,1,1,9\n', "row 3: field larger"),
+            (b"id,tp,fn,fp,tn\na,9,1,1,9\nb\x89,9,1,1,9\n", "not UTF-8 text"),
+        ],
+        ids=["long_field", "not_utf8"],
+    )
+    def test_unparseable_text_raises_data_error(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            read_table(str(path))
+        assert main(["fit", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("columns", ["y_sens,y_spec", "logit_sens,logit_spec"])
     def test_summary_headers(self, tmp_path, columns):
         path = tmp_path / "summary.csv"

@@ -17,11 +17,15 @@ from the parent tree's `BENCHMARK.json`.
 
 For each metric the tool prints each side's Q1, median and Q3 (inclusive
 quartiles over the pairs), the pairs the change won, the parent's IQR, the
-change's median over the parent's, and whether the change's median is
-within the metric's bound. It also prints `correct` and `failed` of every
-run. With `--json`, it writes one record per workload: the seeds, the side
-that went first, each side's correctness, op counts and exit codes, and for
-every metric the quartiles, wins, ratio, bound check and both sides' runs.
+parent's relative spread (Q3 - Q1) / median, the change's median over the
+parent's, whether the change's median is within the metric's bound, and
+whether the metric is unresolved: the parent's spread is wider than the
+bound and not every change run beats every parent run, so the pairs cannot
+tell a regression within the bound from noise. It also prints `correct` and
+`failed` of every run. With `--json`, it writes one record per workload: the
+seeds, the side that went first, each side's correctness, op counts and exit
+codes, and for every metric the quartiles, wins, ratio, bound check, spread,
+unresolved flag and both sides' runs.
 
 Exit status is 1 when any run exits non-zero, is not `correct` or has a
 failed op; otherwise 0.
@@ -70,6 +74,8 @@ def summarize(metric: dict, parent_runs: list[float], change_runs: list[float]) 
     parent, change = quartiles(parent_runs), quartiles(change_runs)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
     worse = sign * (change["median"] - parent["median"]) / parent["median"]
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    all_better = all(sign * (c - p) < 0 for p in parent_runs for c in change_runs)
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": parent, "change": change,
@@ -78,7 +84,9 @@ def summarize(metric: dict, parent_runs: list[float], change_runs: list[float]) 
         "worse_by_fraction": worse,
         "within_bound": worse <= metric["bound"],
         "parent_iqr": parent["q3"] - parent["q1"],
-        "all_change_runs_better": all(sign * (c - p) < 0 for p in parent_runs for c in change_runs),
+        "parent_spread": spread,
+        "all_change_runs_better": all_better,
+        "unresolved": spread > metric["bound"] and not all_better,
         "parent_runs": parent_runs, "change_runs": change_runs,
     }
 
@@ -115,12 +123,13 @@ def print_record(workload: str, record: dict) -> None:
     print(f"\n{workload}: seeds {record['seeds'][0]}-{record['seeds'][-1]}, "
           f"first {','.join(side[0] for side in record['first_side'])}")
     print(f"{'metric':16s} {'parent q1/med/q3':>32s} {'change q1/med/q3':>32s} "
-          f"{'wins':>6s} {'parent IQR':>11s} {'ratio':>7s} within bound")
+          f"{'wins':>6s} {'parent IQR':>11s} {'spread':>7s} {'ratio':>7s} within bound  unresolved")
     for name, m in record["metrics"].items():
         p, c = m["parent"], m["change"]
         print(f"{name:16s} {p['q1']:10.5g} {p['median']:10.5g} {p['q3']:10.5g} "
               f"{c['q1']:10.5g} {c['median']:10.5g} {c['q3']:10.5g} {m['change_wins']:>6s} "
-              f"{m['parent_iqr']:11.4g} {m['change_over_parent']:7.4f} {m['within_bound']}")
+              f"{m['parent_iqr']:11.4g} {m['parent_spread']:7.4f} {m['change_over_parent']:7.4f} "
+              f"{m['within_bound']!s:13s} {m['unresolved']}")
     for side in SIDES:
         print(f"{side}: correct {record[f'{side}_correct']}, failed {record[f'{side}_failed_ops']} "
               f"of {record[f'{side}_attempted_ops']}, exit codes {record[f'{side}_exit_codes']}")
