@@ -2,8 +2,8 @@
 
 The marginal model for each study is y_i ~ N2(beta, D_i) with
 D_i = Sigma + S_i, where S_i = diag(s_a, s_b) is the known within-study
-covariance and Sigma the unknown between-study covariance. Everything here
-is a pure function of a Dataset (plus, where relevant, a candidate Sigma).
+covariance and Sigma the unknown between-study covariance. The estimators are pure
+functions of a Dataset and, where relevant, a Sigma; i_squared of variances and tau2.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from .model import (
 )
 
 __all__ = [
-    "ols_beta",
     "gls_beta",
     "v_matrix",
-    "moment_sigma0",
     "bias_corrected_sigma",
     "reml_sigma",
     "i_squared",
@@ -118,14 +116,6 @@ def _checked_precisions(d: Dataset, sigma: Sym2) -> tuple[np.ndarray, np.ndarray
     return _precisions(s, sigma.as_array())
 
 
-def ols_beta(d: Dataset) -> np.ndarray:
-    """Componentwise mean of the study summaries (the design is an intercept)."""
-    if d.n == 0:
-        raise DataError("empty dataset")
-    y, _ = d.arrays()
-    return y.mean(axis=0)
-
-
 def gls_beta(d: Dataset, sigma: Sym2) -> np.ndarray:
     """Precision-weighted pooled mean with weights (Sigma + S_i)^{-1}."""
     _, g, a = _checked_precisions(d, sigma)
@@ -140,18 +130,11 @@ def v_matrix(d: Dataset, sigma: Sym2) -> Sym2:
     return Sym2.from_array(v)
 
 
-def moment_sigma0(d: Dataset) -> Sym2:
-    """Residual-based moment estimator of the between-study covariance.
-
-    Averages the outer products of residuals about the componentwise mean and
-    subtracts the within-study contribution. The result may be indefinite;
-    callers that need a PSD matrix should use bias_corrected_sigma.
-    """
-    return Sym2.from_array(_moment_raw(*d.arrays()))
-
-
 def _moment_raw(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Residual second moment about the mean minus the mean within-study variance, (..., 2, 2)."""
+    """Residual second moment about the mean minus the mean within-study variance, (..., 2, 2).
+
+    This residual moment estimate of Sigma may be indefinite; bias_corrected_sigma is PSD.
+    """
     n = y.shape[-2]
     if n < 2:
         raise DataError("moment estimator needs at least 2 studies")
@@ -217,10 +200,10 @@ def _moment_bc_array(y: np.ndarray, s: np.ndarray) -> np.ndarray:
 def bias_corrected_sigma(d: Dataset) -> Sym2:
     """Second-order-unbiased covariance estimate, PSD-projected.
 
-    Starts from moment_sigma0 and removes its O(1/n) downward bias, with the
-    unknown covariance in the bias term replaced by the plug-in moment
-    estimate. The correction is applied first and the eigenvalue clamp second,
-    so downstream D_i = Sigma_hat + S_i stay positive definite.
+    Starts from the residual moment estimate _moment_raw and removes its O(1/n)
+    downward bias, with the unknown covariance in the bias term replaced by the
+    plug-in moment estimate. The correction is applied first and the eigenvalue
+    clamp second, so downstream D_i = Sigma_hat + S_i stay positive definite.
     """
     m, changed = _psd_clamp(_moment_bc_array(*d.arrays()))
     if changed:

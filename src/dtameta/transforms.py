@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import DataError, Study, Sym2
 
-__all__ = ["logit", "expit", "summarize_counts", "to_roc_space", "sroc_curve"]
+__all__ = ["logit", "summarize_counts", "to_roc_space", "sroc_curve"]
 
 
 def logit(p: float) -> float:
@@ -19,13 +19,8 @@ def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def expit(x: float) -> float:
-    """Inverse of logit, numerically stable for large |x|."""
-    return float(_expit(np.float64(x)))
-
-
 def _expit(x: np.ndarray) -> np.ndarray:
-    """expit elementwise: exp of -|x| only, so nothing overflows and no warning is raised."""
+    """Inverse of logit, elementwise: exp of -|x| only, so nothing overflows and no warning is raised."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 

@@ -827,6 +827,7 @@ class TestReadmeExamples:
         assert isinstance(ns["terms"], BTerms)
         assert isinstance(ns["ccr"], ConfidenceRegion) and isinstance(ns["fit"], FitResult)
         assert ns["h"] == ns["fit"].h
+        assert ns["inside"] is True
         assert ns["ring"].shape == (256, 2) and np.all(np.isfinite(ns["ring"]))
         assert ns["roc"].shape == (256, 2) and np.all((ns["roc"] >= 0) & (ns["roc"] <= 1))
 

@@ -18,14 +18,12 @@ from dtameta import (
     confidence_region,
     gls_beta,
     i_squared,
-    moment_sigma0,
-    ols_beta,
     reml_sigma,
     v_matrix,
 )
 from dtameta import estimators, oracle, regions
 from dtameta.cli import read_table
-from dtameta.estimators import _inv2, _psd_clamp, _restricted_nll, _sigma_of
+from dtameta.estimators import _inv2, _moment_raw, _psd_clamp, _restricted_nll, _sigma_of
 
 
 def make_dataset(y, s):
@@ -57,7 +55,7 @@ HAND_S = [(0.5, 0.5), (0.5, 0.5)]
 
 class TestMomentEstimators:
     def test_moment_sigma0_hand_value(self):
-        m = moment_sigma0(make_dataset(HAND_Y, HAND_S))
+        m = Sym2.from_array(_moment_raw(*make_dataset(HAND_Y, HAND_S).arrays()))
         assert m.a11 == pytest.approx(0.5, abs=1e-15)
         assert m.a12 == pytest.approx(0.0, abs=1e-15)
         assert m.a22 == pytest.approx(-0.5, abs=1e-15)
@@ -87,7 +85,7 @@ class TestMomentEstimators:
     def test_needs_two_studies(self):
         one = make_dataset([(0.0, 0.0)], [(0.1, 0.1)])
         with pytest.raises(DataError):
-            moment_sigma0(one)
+            _moment_raw(*one.arrays())
         with pytest.raises(DataError):
             bias_corrected_sigma(one)
 
@@ -134,14 +132,14 @@ class TestMomentEstimators:
 class TestPooledMeans:
     def test_ols_is_componentwise_mean(self):
         d = make_dataset([(1.0, 4.0), (3.0, 0.0)], [(0.1, 0.1), (0.2, 0.3)])
-        assert ols_beta(d) == pytest.approx(np.array([2.0, 2.0]))
+        assert d.arrays()[0].mean(axis=0) == pytest.approx(np.array([2.0, 2.0]))
 
     def test_gls_collapses_to_ols_under_equal_weights(self):
         rng = np.random.default_rng(21)
         y = rng.standard_normal((7, 2))
         d = make_dataset(y, [(0.3, 0.15)] * 7)
         sigma = Sym2(0.5, 0.2, 0.4)
-        np.testing.assert_allclose(gls_beta(d, sigma), ols_beta(d), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gls_beta(d, sigma), y.mean(axis=0), rtol=0, atol=1e-13)
 
     def test_gls_translation_equivariance(self):
         rng = np.random.default_rng(22)
@@ -162,8 +160,6 @@ class TestPooledMeans:
         np.testing.assert_allclose(v.as_array(), expected, rtol=1e-12, atol=0)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(DataError):
-            ols_beta(Dataset(()))
         with pytest.raises(DataError):
             gls_beta(Dataset(()), Sym2(0.1, 0.0, 0.1))
 

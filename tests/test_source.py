@@ -3,13 +3,18 @@
 No linter ships with the package's test requirements, so the dead-code
 checks are done here with ast: an imported name that its module never reads,
 or a private top-level definition that no module of the package reads, costs
-import time and misleads the reader about what the code uses.
+import time and misleads the reader about what the code uses. The third check
+guards the public surface: a name in a module's __all__ must be read by
+another module of the package, named in a file under bench/ or tools/, or
+named in the README, or it is a promise no caller relies on.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dtameta"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dtameta"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -81,3 +86,52 @@ def test_no_dead_private_definitions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert sum(len(private_definitions(ast.parse(text))) for text in sources.values()) > 0
     assert dead_definitions(sources) == {}
+
+
+def exports(tree: ast.Module) -> list[str]:
+    """The string entries of the module's top-level __all__ assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
+def unread_exports(sources: dict[str, str], texts: list[str]) -> dict[str, list[str]]:
+    """Per module of sources, its __all__ names that no other module reads and no text names as a word."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = {name: names_read(tree) for name, tree in trees.items()}
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    unread = {}
+    for name, tree in trees.items():
+        read = set().union(*(r for other, r in reads.items() if other != name))
+        if names := [e for e in exports(tree) if e not in read and e not in words]:
+            unread[name] = names
+    return unread
+
+
+def test_unread_exports_finds_a_name_without_a_reader():
+    sources = {
+        "a.py": (
+            '"""Module a: its docstring names mentioned(), which does not count."""\n'
+            '__all__ = ["imported", "attr", "benched", "documented", "mentioned", "self_read"]\n'
+            "def imported(): pass\ndef attr(): pass\ndef benched(): pass\n"
+            "def documented(): pass\ndef mentioned(): pass\ndef self_read(): pass\n"
+            "x = self_read()\n"
+        ),
+        "b.py": "from .a import imported\nfrom . import a\n__all__ = ['lone']\nlone = a.attr\n",
+    }
+    readme = "Call `documented(x)` for the result.\n"
+    bench = "from dtameta import benched\nbenched()\n"
+    assert unread_exports(sources, [readme, bench]) == {
+        "a.py": ["mentioned", "self_read"], "b.py": ["lone"],
+    }
+
+
+def test_every_export_has_a_reader():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert sum(len(exports(ast.parse(text))) for text in sources.values()) > 0
+    texts = [(ROOT / "README.md").read_text()] + [
+        p.read_text() for d in ("bench", "tools") for p in sorted((ROOT / d).rglob("*"))
+        if p.suffix in (".py", ".md")
+    ]
+    assert unread_exports(sources, texts) == {}

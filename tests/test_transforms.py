@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtameta import DataError, Study, expit, logit, sroc_curve, summarize_counts, to_roc_space
+from dtameta import DataError, Study, logit, sroc_curve, summarize_counts, to_roc_space
 from dtameta.model import Sym2
+from dtameta.transforms import _expit
 
 LN9 = 2.1972245773362196
 # one unit in the last place of numbers near 1; np.exp and math.exp may differ by one ulp
 ULP1 = 2.0**-52
+
+
+def expit(x):
+    """The inverse of logit at one point: the package's array kernel, as a Python float."""
+    return float(_expit(np.float64(x)))
 
 
 def scalar_expit(x):
