@@ -1,21 +1,20 @@
 """Command-line interface: fit, region export, simulation grid, oracle validation.
 
-Exit codes: 0 success; 1 validation tolerance failure; 2 malformed input,
-invalid flags, a negative seed, an unwritable output path or two outputs
-naming one file; 3 too few studies to fit (n < 3); 4 corrected region
-undefined (threshold factor 1 + h not a positive finite number).
+Exit codes: 0 success; 1 validation tolerance failure; 2 bad input: a
+malformed table, flag or seed, an unwritable or non-regular output, two
+outputs naming one file, or a count too large for memory; 3 too few studies
+to fit (n < 3); 4 corrected region undefined (1 + h not positive and finite).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import functools
 import json
 import os
+import stat
 import sys
-import tempfile
 import warnings
 from typing import Sequence
 
@@ -122,45 +121,49 @@ def _read_fittable(path: str) -> Dataset:
 def _emit(outputs: Sequence[tuple[str, str | None]], source: str | None = None) -> None:
     """Write each (text, path) pair: the files atomically, then stdout for path None.
 
-    The package's one file writer. Two paths that resolve to one file, or a path that resolves to the input
-    table source, are rejected before anything is written. Each file is staged
-    as a temp file in its target's directory, and the temp files are renamed
-    onto their targets only once all are written; a target that is an existing
-    directory (onto which a rename would fail) is refused while staging, so a
-    failed call leaves no target touched. On failure every temp file is
-    removed and ValueError("cannot write <path>: <reason>") is raised.
+    The package's one file writer. It judges each path by the file it names,
+    symlinks followed, and refuses two paths naming one file, a path naming the
+    input table source, or one naming a directory, device, pipe or other file that
+    is not regular, before anything is written. Each file is staged beside the file
+    it names, created as open(path, "w") creates one and given the mode of the file
+    it replaces, then renamed onto it once all are staged. On failure every staged
+    file is removed and ValueError("cannot write <path>: <reason>") is raised.
     """
-    files = [(path, text) for text, path in outputs if path is not None]
     source_real = None if source is None else os.path.realpath(source)
-    seen: dict[str, str] = {}
-    for path, _ in files:
-        real = os.path.realpath(path)
-        if real == source_real:
-            raise ValueError(f"output {path!r} names the input table {source!r}")
-        if real in seen:
-            raise ValueError(f"outputs {seen[real]!r} and {path!r} name one file")
-        seen[real] = path
+    named: dict[str, tuple[str, str, int | None]] = {}  # named file: (path, text, its st_mode)
     staged: list[str] = []
     try:
-        for target, text in files:
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), suffix=".tmp")
-            staged.append(tmp)
-            with os.fdopen(fd, "w") as fh:
+        for text, path in outputs:
+            if path is None:
+                continue
+            real = os.path.realpath(path)
+            if real == source_real:
+                raise ValueError(f"output {path!r} names the input table {source!r}")
+            if real in named:
+                raise ValueError(f"outputs {named[real][0]!r} and {path!r} name one file")
+            try:  # one stat, never an open: opening a pipe to write blocks
+                if path.endswith(os.sep) or not stat.S_ISREG(mode := os.stat(real).st_mode):
+                    raise ValueError(f"cannot write {path}: not a regular file")
+            except FileNotFoundError:
+                mode = None
+            named[real] = (path, text, mode)
+        for real, (path, text, mode) in named.items():
+            tmp = os.path.join(os.path.dirname(real), f"tmp{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x") as fh:
+                staged.append(tmp)
                 fh.write(text)
-        for tmp, (target, _) in zip(staged, files):
-            os.replace(tmp, target)
+            if mode is not None:
+                os.chmod(tmp, mode & 0o777)  # not setuid or setgid, which a write clears
+        for tmp, (real, (path, _, _)) in zip(staged, named.items()):
+            os.replace(tmp, real)
     except BaseException as exc:
         for tmp in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-    for text, path in outputs:
-        if path is None:
-            sys.stdout.write(text)
+    sys.stdout.writelines(text for text, path in outputs if path is None)
 
 
 def _default_seed(value: int | None) -> int:
@@ -510,8 +513,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegionUndefinedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_REGION
-    except ValueError as exc:  # covers DataError, bad flags and seeds, and unwritable outputs
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, MemoryError) as exc:  # DataError, bad flags, seeds and outputs, huge counts
+        prefix = "not enough memory: " if isinstance(exc, MemoryError) else ""
+        sys.stderr.write(f"error: {prefix}{exc}\n")
         return EXIT_BAD_INPUT
 
 

@@ -20,16 +20,16 @@ message, where the fit refuses its D_i, its summed precision A or fewer than
 Every Monte Carlo loop is one _by_chunk call (simlab makes one per group of
 scenarios with equal n, whose chunks may span scenarios): chunks of at most
 _CHUNK_ROWS replication x study rows, each run by a step whose columns fill
-one preallocated array, so memory stays flat in reps and chunking never
-changes a result. A step draws, then fits. The draw reads replication r's
-rep_stream(seed, r) as one block of 2n standard normals: the chunk's
-SeedSequence words are hashed at once (_stream_words), and numpy's PCG64
-seeds each row's generator from its words (_normal_blocks, which simlab
-shares), so no generator state is written by hand. The block is colored
-on the whole stack by each D_i's lower Cholesky factor L from the closed
-form the fit uses (estimators._chol2), so every truth whose D_i pass
-model._all_pd draws; it is written out as y1 = l11 z1 and y2 = l21 z1 +
-l22 z2. The fit then runs once on the stack.
+one preallocated array of width floats per replication, so only that array
+grows with reps, not the stacks, and chunking never changes a result. A step
+draws, then fits. The draw reads replication r's rep_stream(seed, r) as one
+block of 2n standard normals: the chunk's SeedSequence words are hashed at
+once (_stream_words), and numpy's PCG64 seeds each row's generator from its
+words (_normal_blocks, which simlab shares), so no generator state is written
+by hand. The block is colored on the whole stack by each D_i's lower Cholesky
+factor L from the closed form the fit uses (estimators._chol2), so every
+truth whose D_i pass model._all_pd draws; it is written out as y1 = l11 z1
+and y2 = l21 z1 + l22 z2. The fit then runs once on the stack.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def _k_stats(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tr_k * tr_k, k11 * k11 + 2 * k[..., 0, 1] * k[..., 1, 0] + k22 * k22, tr_k
 
 
-# Bound on the replication x study rows one stacked fit holds, so Monte Carlo
-# memory stays flat in the replication count.
+# Bound on the replication x study rows one stacked fit holds; _by_chunk's
+# output still keeps width floats per replication.
 _CHUNK_ROWS = 16384
 
 

@@ -77,8 +77,8 @@ def b_star(d: Dataset, sigma: Sym2) -> BTerms:
 
     Each study index labels only its own two or three factors, so summing it
     out first leaves 4 x 4 moments of the whitened stack (_b_star_kernel).
-    Building them is the only O(n) work, so time is linear in n and memory
-    constant.
+    Building them is the only O(n) work, so time and memory are linear in n:
+    the whitened stacks are (R, n, 4).
     """
     dmats, _, a = _checked_precisions(d, sigma)
     return _b_terms(dmats, a)

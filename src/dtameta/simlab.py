@@ -234,16 +234,16 @@ def run_grid(scenarios: Sequence[Scenario]) -> list[GridResult]:
     Scenarios of equal n and alpha form a group, and each group is one
     oracle._by_chunk loop over its scenarios' replications laid end to end,
     so a chunk may hold the last replications of one scenario and the first
-    of the next. _by_chunk bounds the replication x study rows of a chunk,
-    so memory does not grow with reps. Each chunk runs in two phases. The
-    draw reads replication r of a scenario from its own (seed, r) stream as
-    one block of standard normals; numpy's PCG64 seeds each row from words
-    hashed together for the chunk's part of a scenario. The
-    rejection-sampled variances, mu (colored by its own scenario's Sigma)
-    and the noise are read off the stacked blocks in stream order, and the
-    moment fit, GLS, trace terms and h (regions._rep_fit, the public fit on
-    a stack, which mc_coverage runs too) then run once on the (R, n, 2)
-    stacks of y and s.
+    of the next. _by_chunk bounds a chunk's replication x study rows, so the
+    stacks do not grow with reps; only the three floats kept per replication
+    do. Each chunk runs in two phases. The draw reads replication r of a
+    scenario from its own (seed, r) stream as one block of standard normals;
+    numpy's PCG64 seeds each row from words hashed together for the chunk's
+    part of a scenario. The rejection-sampled variances, mu (colored by its
+    own scenario's Sigma) and the noise are read off the stacked blocks in
+    stream order, and the moment fit, GLS, trace terms and h
+    (regions._rep_fit, the public fit on a stack, which mc_coverage runs
+    too) then run once on the (R, n, 2) stacks of y and s.
     No replication's numbers depend on the chunk it lands in: results are
     independent of chunking and of the grid's composition and order, and
     reproduce exactly for a fixed grid. The heterogeneity fraction is

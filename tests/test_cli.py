@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 import dtameta.cli as cli
+import dtameta.oracle as oracle
+import dtameta.simlab as simlab
 from dtameta import (
     BTerms,
     ConfidenceRegion,
@@ -706,32 +709,45 @@ OUTPUT_ARGS = {
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("flag", sorted(OUTPUT_ARGS))
-    @pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+    @pytest.mark.parametrize(
+        "target", ["missing directory", "existing directory", "fifo", "trailing separator"]
+    )
     def test_exits_2_and_leaves_no_temp_file(self, capsys, summary_table, tmp_path, flag, target):
         if target == "missing directory":
             out = tmp_path / "no" / "such" / "dir" / "out"
-        else:
-            # a rename onto a directory would fail after staging
+        elif target == "existing directory":
             out = tmp_path / "taken"
             out.mkdir()
+        elif target == "fifo":
+            # refused by its stat: opening a FIFO to write would block, and a
+            # rename would put a regular file where the pipe was
+            out = tmp_path / "pipe"
+            os.mkfifo(out)
+        else:  # the path names a directory, which an ordinary write refuses too
+            out = str(tmp_path / "report") + os.sep
         code = main(OUTPUT_ARGS[flag](summary_table, str(out)))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
         assert list(tmp_path.rglob("*.tmp")) == []
+        assert target != "fifo" or stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert target != "trailing separator" or not os.path.lexists(out.rstrip(os.sep))
 
     @pytest.mark.parametrize("json_to", ["file", "stdout"])
-    @pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+    @pytest.mark.parametrize("target", ["missing directory", "existing directory", "fifo"])
     def test_fit_writes_nothing_when_the_svg_path_fails(
         self, capsys, summary_table, tmp_path, json_to, target
     ):
         report = tmp_path / "r.json"
         if target == "missing directory":
             svg = tmp_path / "no" / "such" / "dir" / "p.svg"
-        else:
+        elif target == "existing directory":
             svg = tmp_path / "taken"
             svg.mkdir()
+        else:
+            svg = tmp_path / "pipe"
+            os.mkfifo(svg)
         argv = ["fit", "--input", summary_table, "--svg", str(svg)]
         if json_to == "file":
             argv += ["--json", str(report)]
@@ -754,6 +770,39 @@ class TestUnwritableOutput:
         assert err == f"error: outputs 'out' and {svg!r} name one file\n"
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("named_exists", [True, False], ids=["symlink", "dangling symlink"])
+    def test_a_symlink_writes_the_file_it_names(self, capsys, summary_table, tmp_path, named_exists):
+        direct = tmp_path / "direct.json"
+        assert main(["fit", "--input", summary_table, "--json", str(direct)]) == 0
+        named, link = tmp_path / "elsewhere" / "named.json", tmp_path / "link.json"
+        named.parent.mkdir()
+        if named_exists:
+            named.write_text("stale")
+        link.symlink_to(named)
+        assert main(["fit", "--input", summary_table, "--json", str(link)]) == 0
+        assert capsys.readouterr().out == ""
+        assert link.is_symlink() and os.readlink(link) == str(named)
+        assert named.read_bytes() == direct.read_bytes()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_modes_follow_the_umask_and_an_overwrite_keeps_its_mode(
+        self, capsys, summary_table, tmp_path
+    ):
+        new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+        kept.write_text("stale")
+        kept.chmod(0o640)
+        previous = os.umask(0o022)
+        try:
+            codes = [main(["fit", "--input", summary_table, "--json", str(p)]) for p in (new, kept)]
+        finally:
+            os.umask(previous)
+        assert codes == [0, 0]
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_bytes() == new.read_bytes()
 
 
 INPUT_OUTPUT_ARGS = {
@@ -877,6 +926,29 @@ class TestValidateCommand:
     def test_unknown_preset_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown preset 'nope'"):
             validation_preset("nope", 1000, 0)
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--preset", "homogeneous", "--reps", "100000000000"],
+            ["simulate", "--tau2", "0.2", "--rho", "0", "--n", "4", "--reps", "100000000000"],
+        ],
+        ids=["validate", "simulate"],
+    )
+    def test_an_unallocatable_count_exits_2(self, capsys, monkeypatch, argv):
+        # stands in for np.empty((reps, width)) failing: where memory is
+        # overcommitted a real allocation of that size can succeed and run for hours
+        def refuse(reps, n, width, step):
+            raise MemoryError(f"Unable to allocate array with shape ({reps}, {width})")
+
+        monkeypatch.setattr(oracle, "_by_chunk", refuse)
+        monkeypatch.setattr(simlab, "_by_chunk", refuse)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: not enough memory: Unable to allocate array with shape (100000000000, 3)\n"
+        assert out == ""
 
 
 class TestParser:

@@ -70,7 +70,13 @@ in the code they load. The commands:
   DTA_SEED unset) and error_output_is_input, a snippet that copies
   synthetic14.csv into its own working directory and runs fit --input and
   --json on that copy, so a tree that lets an output replace its input
-  overwrites the copy and never a fixture.
+  overwrites the copy and never a fixture;
+- two output snippets, each run in its own working directory: output_to_fifo
+  makes a FIFO there and output_through_symlink a symlink to a file there
+  holding "stale"; each runs fit --json onto it and prints the exit code,
+  whether the FIFO or the link survived, and the first line of the file it
+  names (the FIFO is read only if it became a regular file, and is removed
+  at the end).
 
 Occurrences of the SRC path in the captured text are replaced by the literal
 "$SRC". A change that should keep every output byte-identical is checked by
@@ -282,6 +288,36 @@ from dtameta.cli import main
 sys.exit(main(["fit", "--input", "table.csv", "--json", "table.csv"]))
 """
 
+# an output that is a FIFO: the writer must leave the pipe in place, and a
+# FIFO is never opened here, since a read with no writer blocks
+_OUTPUT_TO_FIFO = """
+import os, stat
+from dtameta.cli import main
+os.mkfifo("report.json")
+code = main(["fit", "--input", {fixture!r}, "--json", "report.json"])
+mode = os.lstat("report.json").st_mode
+print("exit", code, "fifo survived", stat.S_ISFIFO(mode))
+if stat.S_ISREG(mode):
+    with open("report.json") as fh:
+        print("first line", repr(fh.readline()))
+os.unlink("report.json")  # so that diff -r never meets a FIFO
+"""
+
+_OUTPUT_THROUGH_SYMLINK = """
+import os
+from dtameta.cli import main
+for name in ("link.json", "named.json"):
+    if os.path.lexists(name):
+        os.unlink(name)
+with open("named.json", "w") as fh:
+    fh.write("stale\\n")
+os.symlink("named.json", "link.json")
+code = main(["fit", "--input", {fixture!r}, "--json", "link.json"])
+print("exit", code, "link survived", os.path.islink("link.json"))
+with open("named.json") as fh:
+    print("first line", repr(fh.readline()))
+"""
+
 # REML on the fixture, on 40 seeded random tables of 5 to 30 studies and on 15
 # near-boundary ones (drawn at tau2 = 0 with n = 3 and 5, and at a correlation of
 # 0.999 with n = 12), then capped at max_iter 2, 5 and 40 on the fixture and
@@ -409,6 +445,8 @@ def _commands() -> list[tuple[str, list[str]]]:
     seeded = _BAD_SEED.format(argv=simulate + ["--rho", "0", "--reps", "5"])
     cmds.append(("error_dta_seed_x", ["-c", seeded]))
     cmds.append(("error_output_is_input", ["-c", _OUTPUT_IS_INPUT.format(fixture=FIXTURE)]))
+    cmds.append(("output_to_fifo", ["-c", _OUTPUT_TO_FIFO.format(fixture=FIXTURE)]))
+    cmds.append(("output_through_symlink", ["-c", _OUTPUT_THROUGH_SYMLINK.format(fixture=FIXTURE)]))
     return cmds
 
 
