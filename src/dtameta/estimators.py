@@ -222,13 +222,15 @@ def _sigma_of(theta: Sequence[float]) -> tuple[float, float, float]:
 
 
 def _restricted_nll(y: np.ndarray, s: np.ndarray):
-    """Negative restricted log-likelihood at Sigma = L L', as a function of log-Cholesky theta."""
+    """Negative restricted log-likelihood at Sigma = L L', as a function of log-Cholesky theta.
+
+    Under reml_sigma's np.errstate(invalid="raise", divide="raise", over="raise") it is finite
+    or +inf: any floating-point event, OverflowError, log domain error or non-finite value gives +inf.
+    """
     # LAPACK inv and solve, not _precisions' closed forms: a change in the
     # objective's last bits moves the simplex path and REML's estimate by up
     # to 2.4e-8 relative. ROADMAP item 3 replaces this objective. They are the
-    # gufuncs np.linalg wraps, with FloatingPointError for its LinAlgError.
-    inv = np.errstate(invalid="raise")(_umath_linalg.inv)
-    solve = np.errstate(invalid="raise")(_umath_linalg.solve1)
+    # gufuncs np.linalg wraps, which signal a singular matrix as invalid.
     template = np.where(np.eye(2, dtype=bool), s[:, :, None], -0.0)  # -0.0 + x is x
     d, sigma = np.empty_like(template), np.empty((2, 2))
     d11, d22, flat = d[:, 0, 0], d[:, 1, 1], sigma.reshape(4)
@@ -237,19 +239,17 @@ def _restricted_nll(y: np.ndarray, s: np.ndarray):
         try:
             s11, s12, s22 = _sigma_of(theta)
             flat[:] = s11, s12, s12, s22
-            g = inv(np.add(template, sigma, out=d), signature="d->d")
+            g = _umath_linalg.inv(np.add(template, sigma, out=d), signature="d->d")
             a = g.sum(axis=-3)
-            det = d11 * d22 - s12 * s12
             (a11, a12), (_, a22) = a.tolist()
-            det_a = a11 * a22 - a12**2
-            if det_a <= 0 or np.count_nonzero(det <= 0):
-                return math.inf
-            beta = solve(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")
-        except (FloatingPointError, OverflowError):  # singular D or A; exp or a12**2 overflows
+            beta = _umath_linalg.solve1(a, np.einsum("...iab,...ib->...a", g, y), signature="dd->d")
+            r = y - beta
+            quad = float(np.einsum("ia,iab,ib->", r, g, r))
+            log_det = float(np.log(d11 * d22 - s12 * s12).sum())
+            value = 0.5 * (log_det + quad + math.log(a11 * a22 - a12**2))
+        except (FloatingPointError, OverflowError, ValueError):
             return math.inf
-        r = y - beta
-        quad = float(np.einsum("ia,iab,ib->", r, g, r))
-        return 0.5 * (float(np.log(det).sum()) + quad + math.log(det_a))
+        return value if math.isfinite(value) else math.inf
 
     return nll
 
@@ -284,8 +284,8 @@ def _nelder_mead(f, x0: Sequence[float], max_iter: int) -> tuple[list[float], st
     sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
         sim[k + 1][k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = [f(x) if k < budget else math.inf for k, x in enumerate(sim)]
-    nfev = min(budget, n + 1)
+    fsim = [f(x) for x in sim]  # within budget: max_iter >= 1 makes it at least 4 = n + 1
+    nfev = n + 1
     sim, fsim = ranked(*ranked(sim, fsim))  # twice, as SciPy does: ties may move
     iterations = 1
     while nfev < budget and iterations < max_iter:
@@ -344,7 +344,8 @@ def reml_sigma(d: Dataset, max_iter: int = 500) -> Sym2:
         ) from None
     theta0 = [math.log(l[0, 0]), float(l[1, 0]), math.log(l[1, 1])]
 
-    x, stopped = _nelder_mead(_restricted_nll(y, s), theta0, max_iter)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        x, stopped = _nelder_mead(_restricted_nll(y, s), theta0, max_iter)
     if stopped:
         msg = f"REML simplex stopped before convergence: {stopped}"
         warnings.warn(msg, RemlConvergenceWarning, stacklevel=2)
@@ -369,8 +370,13 @@ def i_squared(within_vars: Sequence[float], tau2: float) -> float:
 
 
 def _i2_array(v: np.ndarray, tau2: float | np.ndarray) -> np.ndarray:
-    """i_squared of each row of a (..., n) stack of within-study variances; tau2 may vary by row."""
-    w = 1.0 / v
+    """i_squared of each row of a (..., n) stack of within-study variances; tau2 may vary by row.
+
+    The weights w = 1/v are scaled by 2^-e, with max w < 2^e, and Q back by 2^-e, so w^2 cannot
+    overflow. Both scalings are exact: Q keeps the unscaled formula's bits where that stays normal.
+    """
+    e = np.frexp(1.0 / v.min(axis=-1))[1]  # 1/v rounds monotonically: 1 / min v is max w
+    w = np.ldexp(1.0 / v, -e[..., None])
     sw = w.sum(axis=-1)
-    q = (v.shape[-1] - 1) * sw / (sw * sw - (w * w).sum(axis=-1))
+    q = np.ldexp((v.shape[-1] - 1) * sw / (sw * sw - (w * w).sum(axis=-1)), -e)
     return tau2 / (q + tau2)

@@ -128,23 +128,16 @@ class Sym2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]], dtype=float)
 
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues in ascending order, by the closed form for 2x2 symmetric."""
-        half_trace = 0.5 * (self.a11 + self.a22)
-        disc = math.sqrt(0.25 * (self.a11 - self.a22) ** 2 + self.a12**2)
-        return (half_trace - disc, half_trace + disc)
-
     def is_psd(self) -> bool:
         """Whether the smaller eigenvalue is at least -1e-10 times the larger |eigenvalue|.
 
-        The tolerance is relative, so the verdict does not change with the
-        matrix's scale; the zero matrix passes.
+        The eigenvalues come from the closed form for a symmetric 2x2. The tolerance is
+        relative, so the verdict does not change with the matrix's scale; the zero matrix passes.
         """
-        lo, hi = self.eigenvalues()
+        half_trace = 0.5 * (self.a11 + self.a22)
+        disc = math.sqrt(0.25 * (self.a11 - self.a22) ** 2 + self.a12**2)
+        lo, hi = half_trace - disc, half_trace + disc
         return lo >= -1e-10 * max(-lo, hi)
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
 
 
 @dataclass(frozen=True)

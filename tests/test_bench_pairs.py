@@ -51,3 +51,40 @@ class TestSummarize:
         got = bench_pairs.summarize(metric, [1.0, 1.0, 1.2, 1.5, 1.5], [0.5, 0.6, 0.55, 0.7, 0.9])
         assert got["parent_spread"] > 0.25 and got["all_change_runs_better"]
         assert not got["unresolved"]
+
+
+class TestClaimMet:
+    P90 = {"unit": "ms", "better": "lower", "bound": 0.25}
+    # a fit-typical p90 whose median falls 18.2 -> 16.2 ms (-11%) in every pair,
+    # against a parent whose own IQR is 0.12 of its median
+    NOISY = [16.6, 16.9, 17.1, 17.5, 18.1, 18.3, 19.1, 19.5, 19.9, 20.2]
+
+    def test_gain_within_the_parents_iqr_is_not_met(self):
+        change = [round(p - 2.0, 10) for p in self.NOISY]
+        got = bench_pairs.summarize(self.P90, self.NOISY, change)
+        assert got["change_wins"] == "10/10"
+        assert got["parent"]["median"] == pytest.approx(18.2)
+        assert got["change"]["median"] == pytest.approx(16.2)
+        assert got["parent_iqr"] == pytest.approx(2.2)
+        assert not got["claim_met"]
+
+    def test_gain_past_the_parents_iqr_is_met(self):
+        parent = [18.0, 18.1, 18.1, 18.2, 18.2, 18.2, 18.3, 18.3, 18.4, 18.5]
+        got = bench_pairs.summarize(self.P90, parent, [p - 2.0 for p in parent])
+        assert got["parent_iqr"] == pytest.approx(0.175) and got["claim_met"]
+
+    @pytest.mark.parametrize(
+        "ties, losses, met", [(1, 0, True), (0, 1, True), (2, 0, False), (1, 1, False)]
+    )
+    def test_nine_wins_in_ten_and_ties_count_for_neither(self, ties, losses, met):
+        parent = [10.0] * 10
+        change = [10.0] * ties + [11.0] * losses + [5.0] * (10 - ties - losses)
+        got = bench_pairs.summarize({"unit": "1/s", "better": "lower", "bound": 0.25}, parent, change)
+        assert got["change_wins"] == f"{10 - ties - losses}/10"
+        assert got["claim_met"] is met
+
+    def test_higher_is_better(self):
+        metric = {"unit": "1/s", "better": "higher", "bound": 0.25}
+        parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+        assert bench_pairs.summarize(metric, parent, [p + 10.0 for p in parent])["claim_met"]
+        assert not bench_pairs.summarize(metric, parent, [p - 10.0 for p in parent])["claim_met"]

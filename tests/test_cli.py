@@ -331,6 +331,28 @@ class TestFitCommand:
         assert set(rep["reml"]["regions"]) == {"ncr"}
         assert rep["reml"]["regions"]["ncr"]["threshold"] == X05
 
+    def test_huge_logits_report_no_numpy_message(self, capsys, fixtures_dir):
+        # logits near 1e76 put REML's residual products past overflow on parts of its path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_fit_json(
+                capsys, "--input", str(fixtures_dir / "huge_logits.csv"), "--estimator", "both"
+            )
+        assert code == 0
+        assert not [m for m in rep["warnings"] if "encountered" in m]
+        assert np.isfinite(rep["reml"]["sigma"]).all()
+
+    def test_tiny_variances_give_finite_i2(self, capsys, fixtures_dir):
+        # variances near 1e-160: the squared inverse-variance weights of I^2 would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_fit_json(
+                capsys, "--input", str(fixtures_dir / "tiny_variances.csv"), "--estimator", "both"
+            )
+        assert code == 0 and capsys.readouterr().err == ""
+        assert all(math.isfinite(v) for v in rep["i2"].values())
+        assert not [m for m in rep["warnings"] if "encountered" in m]
+
     def test_reml_on_degenerate_data_exits_2(self, capsys, identical_table):
         code = main(["fit", "--input", identical_table, "--estimator", "reml"])
         assert code == 2

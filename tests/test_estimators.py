@@ -410,44 +410,74 @@ def boundary_tables():
     return tables
 
 
-class TestRestrictedNll:
-    """The per-fit objective against the frozen one: equal floats and equal warnings."""
+# reml_sigma runs its simplex, and so every evaluation of the objective, under this errstate
+REML_ERRSTATE = {"invalid": "raise", "divide": "raise", "over": "raise"}
 
-    @staticmethod
-    def evaluate(f, *args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = f(*args)
-        return value, [(w.category, str(w.message)) for w in caught]
+
+def reml_objective(y, s):
+    """_restricted_nll(y, s) evaluated as reml_sigma evaluates it, with every warning an error."""
+    nll = _restricted_nll(y, s)
+
+    def f(theta):
+        with warnings.catch_warnings(), np.errstate(**REML_ERRSTATE):
+            warnings.simplefilter("error")
+            return nll(theta)
+
+    return f
+
+
+class TestRestrictedNll:
+    """The per-fit objective against the frozen one: equal floats where that is finite, else +inf."""
 
     def test_equal_to_frozen_objective(self):
         tables = [seeded_table(seed).arrays() for seed in range(26)]
         tables += boundary_tables() + [(SINGULAR_Y, SINGULAR_S)]
         rng = np.random.default_rng(2024)
+        nans = 0
         for y, s in tables:
-            nll = _restricted_nll(y, s)
+            nll = reml_objective(y, s)
             thetas = [SINGULAR_THETA] + [list(rng.normal(-1.0, 2.0, 3)) for _ in range(120)]
             thetas += [list(rng.uniform(-40.0, 40.0, 3)) for _ in range(40)]
             for _ in range(39):  # log-diagonal up to 700, |l21| up to 1e300
                 l21 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
                 thetas.append([rng.uniform(-700.0, 700.0), l21, rng.uniform(-700.0, 700.0)])
             for theta in thetas:
-                new, new_warnings = self.evaluate(nll, theta)
-                ref, ref_warnings = self.evaluate(restricted_nll_frozen, theta, y, s)
-                assert new == ref or (math.isnan(new) and math.isnan(ref)), (theta, new, ref)
-                assert new_warnings == ref_warnings, theta
+                new = nll(theta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    ref = restricted_nll_frozen(theta, y, s)
+                nans += math.isnan(ref)
+                assert new == (ref if math.isfinite(ref) else math.inf), (theta, new, ref)
+        assert nans > 0  # the frozen objective's NaNs are among the points
+
+    @pytest.mark.parametrize("fixture", [None, "huge_logits.csv", "tiny_variances.csv"])
+    def test_finite_or_infinite_and_silent(self, fixtures_dir, fixture):
+        # seeded theta with |theta| up to 1e3: past exp's overflow, and l21 past squaring's
+        if fixture is None:
+            tables = [seeded_table(seed).arrays() for seed in range(4)] + boundary_tables()
+        else:
+            tables = [read_table(fixtures_dir / fixture).arrays()]
+        rng = np.random.default_rng(39)
+        values = []
+        for y, s in tables:
+            nll = reml_objective(y, s)
+            thetas = rng.uniform(-1e3, 1e3, (60, 3)).tolist() + rng.normal(0.0, 3.0, (60, 3)).tolist()
+            thetas += (rng.choice([-1.0, 1.0], (60, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (60, 3))).tolist()
+            values += [nll(theta) for theta in thetas]
+        assert all(math.isfinite(v) or v == math.inf for v in values)
+        assert any(map(math.isfinite, values)) and math.inf in values
 
     def test_infinite_and_silent_where_d_is_singular(self):
+        assert reml_objective(SINGULAR_Y, SINGULAR_S)(SINGULAR_THETA) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _restricted_nll(SINGULAR_Y, SINGULAR_S)(SINGULAR_THETA) == math.inf
             assert restricted_nll_frozen(SINGULAR_THETA, SINGULAR_Y, SINGULAR_S) == math.inf
 
     @pytest.mark.parametrize("theta", [[710.0, 0.0, 0.0], [0.0, 0.0, 710.0]])
     def test_infinite_where_exp_overflows(self, fixtures_dir, theta):
         # math.exp raises OverflowError past 709.78; the simplex must see +inf instead
         y, s = read_table(fixtures_dir / "synthetic14.csv").arrays()
-        assert _restricted_nll(y, s)(theta) == math.inf
+        assert reml_objective(y, s)(theta) == math.inf
 
 
 class TestReml:
@@ -477,7 +507,7 @@ class TestReml:
     def test_objective_is_infinite_where_d_is_singular(self):
         # the simplex must see +inf, not a LinAlgError
         theta = np.array(SINGULAR_THETA)
-        assert _restricted_nll(SINGULAR_Y, SINGULAR_S)(theta) == math.inf
+        assert reml_objective(SINGULAR_Y, SINGULAR_S)(theta) == math.inf
 
     def test_needs_three_studies(self):
         with pytest.raises(DataError):
@@ -546,7 +576,7 @@ class TestNelderMeadMatchesScipy:
         y, s = d.arrays()
         # the first evaluation is at the start vertex
         res = minimize(
-            _restricted_nll(y, s),
+            np.errstate(**REML_ERRSTATE)(_restricted_nll(y, s)),
             np.array(thetas[0]),
             method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
@@ -639,6 +669,25 @@ class TestISquared:
         w = 1.0 / v
         q = (v.size - 1) * w.sum() / (w.sum() ** 2 - (w**2).sum())
         assert i_squared(v, tau2) == pytest.approx(tau2 / (q + tau2), rel=1e-14)
+
+    def test_weights_scaled_exactly(self):
+        # the weights' power-of-two scaling gives the unscaled formula's bits wherever it is finite
+        rng = np.random.default_rng(39)
+        for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+            v = scale * rng.uniform(0.02, 0.5, size=(50, 12))
+            tau2 = scale * rng.uniform(0.0, 0.8, size=50)
+            w = 1.0 / v
+            q = (v.shape[-1] - 1) * w.sum(axis=-1) / (w.sum(axis=-1) ** 2 - (w * w).sum(axis=-1))
+            np.testing.assert_array_equal(estimators._i2_array(v, tau2), tau2 / (q + tau2))
+
+    def test_tiny_variances_are_finite_and_silent(self, fixtures_dir):
+        # 1/v squared overflows for variances below about 1e-154
+        _, s = read_table(fixtures_dir / "tiny_variances.csv").arrays()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [i_squared(s[:, k], tau2) for k in (0, 1) for tau2 in (0.0, 1e-160, 0.4)]
+        assert values[0] == 0.0 and all(0.0 <= x <= 1.0 for x in values)
+        assert values[2] == 1.0
 
     def test_monotone_in_tau2(self):
         v = [0.1, 0.2, 0.15, 0.3]

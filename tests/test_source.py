@@ -4,9 +4,10 @@ No linter ships with the package's test requirements, so the dead-code
 checks are done here with ast: an imported name that its module never reads,
 or a private top-level definition that no module of the package reads, costs
 import time and misleads the reader about what the code uses. The third check
-guards the public surface: a name in a module's __all__ must be read by
-another module of the package, named in a file under bench/ or tools/, or
-named in the README, or it is a promise no caller relies on.
+guards the public surface: a name in a module's __all__, or a public method
+or property of one of its classes, must be read by another module of the
+package, named in a file under bench/ or tools/, or named in the README, or
+it is a promise no caller relies on.
 """
 
 import ast
@@ -96,15 +97,31 @@ def exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of each public method and property of the module's top-level classes."""
+    return [
+        (cls.name, node.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
 def unread_exports(sources: dict[str, str], texts: list[str]) -> dict[str, list[str]]:
-    """Per module of sources, its __all__ names that no other module reads and no text names as a word."""
+    """Per module of sources, its public names that no other module reads and no text names.
+
+    An __all__ name counts as named by any word of the texts; a class's public method or
+    property, reported as Class.name, only by an attribute access .name in them.
+    """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = {name: names_read(tree) for name, tree in trees.items()}
-    words = set(re.findall(r"\w+", "\n".join(texts)))
+    text = "\n".join(texts)
+    words, attrs = set(re.findall(r"\w+", text)), set(re.findall(r"\.(\w+)", text))
     unread = {}
     for name, tree in trees.items():
         read = set().union(*(r for other, r in reads.items() if other != name))
-        if names := [e for e in exports(tree) if e not in read and e not in words]:
+        names = [e for e in exports(tree) if e not in read and e not in words]
+        names += [f"{c}.{m}" for c, m in public_members(tree) if m not in read and m not in attrs]
+        if names:
             unread[name] = names
     return unread
 
@@ -127,9 +144,31 @@ def test_unread_exports_finds_a_name_without_a_reader():
     }
 
 
+def test_unread_exports_finds_a_member_without_a_reader():
+    sources = {
+        "a.py": (
+            "class Box:\n"
+            "    def _private(self): pass\n"
+            "    @property\n    def size(self): return 1\n"
+            "    def used(self): return self.own()\n"
+            "    def own(self): pass\n"
+            "    def benched(self): pass\n"
+            "    def worded(self): pass\n"
+            "    def dead(self): pass\n"
+        ),
+        "b.py": "from .a import Box\n__all__ = ['f']\ndef f(b): return b.used(), b.size\n",
+    }
+    readme = "`f(box)` calls worded on the box.\n"
+    bench = "box.benched()\nf(box)\n"
+    assert unread_exports(sources, [readme, bench]) == {
+        "a.py": ["Box.own", "Box.worded", "Box.dead"],
+    }
+
+
 def test_every_export_has_a_reader():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert sum(len(exports(ast.parse(text))) for text in sources.values()) > 0
+    assert sum(len(public_members(ast.parse(text))) for text in sources.values()) > 0
     texts = [(ROOT / "README.md").read_text()] + [
         p.read_text() for d in ("bench", "tools") for p in sorted((ROOT / d).rglob("*"))
         if p.suffix in (".py", ".md")

@@ -21,11 +21,14 @@ parent's relative spread (Q3 - Q1) / median, the change's median over the
 parent's, whether the change's median is within the metric's bound, and
 whether the metric is unresolved: the parent's spread is wider than the
 bound and not every change run beats every parent run, so the pairs cannot
-tell a regression within the bound from noise. It also prints `correct` and
+tell a regression within the bound from noise. It also prints whether a
+gain claimed on the metric would be met (`claim_met`): the change wins at
+least 9 in 10 of the pairs, ties counting for neither side, and its median
+beats the parent's by more than the parent's IQR. It prints `correct` and
 `failed` of every run. With `--json`, it writes one record per workload: the
 seeds, the side that went first, each side's correctness, op counts and exit
 codes, and for every metric the quartiles, wins, ratio, bound check, spread,
-unresolved flag and both sides' runs.
+unresolved flag, claim_met and both sides' runs.
 
 Exit status is 1 when any run exits non-zero, is not `correct` or has a
 failed op; otherwise 0.
@@ -69,12 +72,16 @@ def summarize(metric: dict, parent_runs: list[float], change_runs: list[float]) 
 
     metric is its BENCHMARK.json entry: unit, better ("lower" or "higher") and bound,
     the largest fraction by which the change's median may be worse than the parent's.
+    claim_met asks what a claimed gain must show: wins in at least 9 of 10 pairs and a
+    median better than the parent's by more than the parent's IQR.
     """
     sign = 1.0 if metric["better"] == "lower" else -1.0
     parent, change = quartiles(parent_runs), quartiles(change_runs)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
-    worse = sign * (change["median"] - parent["median"]) / parent["median"]
-    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    gain = sign * (parent["median"] - change["median"])
+    worse = -gain / parent["median"]
+    iqr = parent["q3"] - parent["q1"]
+    spread = iqr / parent["median"]
     all_better = all(sign * (c - p) < 0 for p in parent_runs for c in change_runs)
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
@@ -83,10 +90,11 @@ def summarize(metric: dict, parent_runs: list[float], change_runs: list[float]) 
         "change_over_parent": change["median"] / parent["median"],
         "worse_by_fraction": worse,
         "within_bound": worse <= metric["bound"],
-        "parent_iqr": parent["q3"] - parent["q1"],
+        "parent_iqr": iqr,
         "parent_spread": spread,
         "all_change_runs_better": all_better,
         "unresolved": spread > metric["bound"] and not all_better,
+        "claim_met": 10 * wins >= 9 * len(parent_runs) and gain > iqr,
         "parent_runs": parent_runs, "change_runs": change_runs,
     }
 
@@ -123,13 +131,13 @@ def print_record(workload: str, record: dict) -> None:
     print(f"\n{workload}: seeds {record['seeds'][0]}-{record['seeds'][-1]}, "
           f"first {','.join(side[0] for side in record['first_side'])}")
     print(f"{'metric':16s} {'parent q1/med/q3':>32s} {'change q1/med/q3':>32s} "
-          f"{'wins':>6s} {'parent IQR':>11s} {'spread':>7s} {'ratio':>7s} within bound  unresolved")
+          f"{'wins':>6s} {'parent IQR':>11s} {'spread':>7s} {'ratio':>7s} within bound  unresolved  claim met")
     for name, m in record["metrics"].items():
         p, c = m["parent"], m["change"]
         print(f"{name:16s} {p['q1']:10.5g} {p['median']:10.5g} {p['q3']:10.5g} "
               f"{c['q1']:10.5g} {c['median']:10.5g} {c['q3']:10.5g} {m['change_wins']:>6s} "
               f"{m['parent_iqr']:11.4g} {m['parent_spread']:7.4f} {m['change_over_parent']:7.4f} "
-              f"{m['within_bound']!s:13s} {m['unresolved']}")
+              f"{m['within_bound']!s:13s} {m['unresolved']!s:11s} {m['claim_met']}")
     for side in SIDES:
         print(f"{side}: correct {record[f'{side}_correct']}, failed {record[f'{side}_failed_ops']} "
               f"of {record[f'{side}_attempted_ops']}, exit codes {record[f'{side}_exit_codes']}")

@@ -25,7 +25,10 @@ in the code they load. The commands:
   passes the positive-definiteness rule by a hair (a closed-form smaller
   eigenvalue, or LAPACK's Cholesky, would refuse it), and fit --estimator
   both on each (REML's start is refused on the first, and its objective meets
-  a singular summed precision on the second);
+  a singular summed precision on the second); fit --estimator both --json on
+  huge_logits.csv (logits near 1e76, where REML's objective meets overflow)
+  and on tiny_variances.csv (variances near 1e-160, where the squared
+  inverse-variance weights of I^2 would overflow);
 - simulate on the README grid and on an edge grid (tau2 = 0, n = 2 and 3),
   on tau2 = 1e16 with n = 2 (the clamped rank-one estimate makes some D_i
   round to singular, so it exits 2), and validate on each preset at seeds 0
@@ -398,6 +401,10 @@ def _commands() -> list[tuple[str, list[str]]]:
                                              "--svg", "fit.svg"]))
         cmds.append((f"region_{table}_roc", cli + ["region", "--input", path, "--space", "roc",
                                                    "--out", "region.csv"]))
+        cmds.append((f"fit_{table}_both", cli + ["fit", "--input", path, "--estimator", "both",
+                                                  "--json", "fit.json"]))
+    for table in ("huge_logits", "tiny_variances"):
+        path = str(FIXTURES / f"{table}.csv")
         cmds.append((f"fit_{table}_both", cli + ["fit", "--input", path, "--estimator", "both",
                                                   "--json", "fit.json"]))
     cmds.append(("transforms", ["-c", _TRANSFORMS]))
